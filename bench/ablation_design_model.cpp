@@ -10,7 +10,7 @@
 #include "core/design_model.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -49,14 +49,13 @@ void print_crossover_shift() {
   io::TextTable table;
   table.set_headers({"design model", "DNN A2F crossover [apps]"});
   for (const double scale : {1.0, 0.5, 0.25, 0.1}) {
-    core::ModelSuite suite = core::paper_suite();
+    scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, device::Domain::dnn);
     // Scaling the design-house energy scales Eq. 4 linearly: a transparent
     // stand-in for "the model underestimates by this factor".
-    suite.design.annual_energy *= scale;
-    const scenario::SweepEngine engine(core::LifecycleModel(suite),
-                                       device::domain_testcase(device::Domain::dnn));
-    const auto series = engine.sweep_app_count(1, 24, bench::kDefaults.app_lifetime,
-                                               bench::kDefaults.app_volume);
+    spec.suite.design.annual_energy *= scale;
+    spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 24, 24)};
+    const auto series = scenario::Engine().run(spec).sweep_series();
     const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
     table.add_row({"Eq. 4 x " + units::format_significant(scale, 3),
                    a2f ? units::format_significant(*a2f, 4) : std::string("> 24")});

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -69,13 +69,12 @@ void print_warm_extremes() {
   for (const Case& c : {Case{"low (0.03 / 7.65)", 0.03, 7.65},
                         Case{"mid (1.0 / 15.0)", 1.0, 15.0},
                         Case{"high (2.08 / 29.83)", 2.08, 29.83}}) {
-    core::ModelSuite suite = core::paper_suite();
-    suite.eol.discard_factor = c.dis * mtco2e_per_ton;
-    suite.eol.recycle_credit_factor = c.recycle * mtco2e_per_ton;
-    const scenario::SweepEngine engine(core::LifecycleModel(suite),
-                                       device::domain_testcase(device::Domain::dnn));
-    const auto series = engine.sweep_app_count(1, 16, bench::kDefaults.app_lifetime,
-                                               bench::kDefaults.app_volume);
+    scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, device::Domain::dnn);
+    spec.suite.eol.discard_factor = c.dis * mtco2e_per_ton;
+    spec.suite.eol.recycle_credit_factor = c.recycle * mtco2e_per_ton;
+    spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 16, 16)};
+    const auto series = scenario::Engine().run(spec).sweep_series();
     const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
     table.add_row({c.label, a2f ? units::format_significant(*a2f, 4) : std::string("none")});
   }

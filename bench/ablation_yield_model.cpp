@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "tech/yield.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
@@ -17,6 +17,8 @@ namespace {
 
 using namespace greenfpga;
 using namespace units::unit;
+using scenario::AxisSpec;
+using scenario::SweepVariable;
 
 constexpr std::array<tech::YieldModel, 4> kModels{
     tech::YieldModel::poisson,
@@ -29,6 +31,16 @@ core::ModelSuite suite_with(tech::YieldModel model) {
   core::ModelSuite suite = core::paper_suite();
   suite.fab.yield.model = model;
   return suite;
+}
+
+/// A sweep of `domain` over `axis` under `model`, the other two variables
+/// at the paper defaults.
+scenario::ScenarioSpec sweep_spec(tech::YieldModel model, device::Domain domain,
+                                  scenario::AxisSpec axis) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.suite = suite_with(model);
+  spec.axes = {std::move(axis)};
+  return spec;
 }
 
 void print_yields() {
@@ -58,18 +70,19 @@ void print_crossovers() {
   for (const tech::YieldModel model : kModels) {
     std::vector<std::string> row{to_string(model)};
     for (const device::Domain domain : {device::Domain::dnn, device::Domain::imgproc}) {
-      const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                         device::domain_testcase(domain));
-      const auto series = engine.sweep_app_count(1, 24, bench::kDefaults.app_lifetime,
-                                                 bench::kDefaults.app_volume);
+      const auto series =
+          scenario::Engine()
+              .run(sweep_spec(model, domain,
+                              AxisSpec::linear(SweepVariable::app_count, 1, 24, 24)))
+              .sweep_series();
       const auto a2f = first_crossover(series.crossovers(), scenario::CrossoverKind::a2f);
       row.push_back(a2f ? units::format_significant(*a2f, 4) : std::string("> 24"));
     }
-    const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                       device::domain_testcase(device::Domain::dnn));
-    const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 41);
-    const auto series = engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                                            bench::kDefaults.app_lifetime);
+    const auto series =
+        scenario::Engine()
+            .run(sweep_spec(model, device::Domain::dnn,
+                            AxisSpec::log(SweepVariable::volume, 1e3, 1e7, 41)))
+            .sweep_series();
     const auto f2a = first_crossover(series.crossovers(), scenario::CrossoverKind::f2a);
     row.push_back(f2a ? units::format_significant(*f2a, 4) : std::string("none"));
     table.add_row(std::move(row));
@@ -87,11 +100,11 @@ void print_reproduction() {
 
 void bm_yield_model_sweep(benchmark::State& state) {
   const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  const scenario::SweepEngine engine(core::LifecycleModel(suite_with(model)),
-                                     device::domain_testcase(device::Domain::dnn));
+  const scenario::ScenarioSpec spec = sweep_spec(
+      model, device::Domain::dnn, AxisSpec::linear(SweepVariable::app_count, 1, 12, 12));
+  const scenario::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                                    bench::kDefaults.app_volume));
+    benchmark::DoNotOptimize(engine.run(spec));
   }
 }
 BENCHMARK(bm_yield_model_sweep)->DenseRange(0, 3);

@@ -13,7 +13,7 @@
 #include "act/grid_profile.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -55,22 +55,22 @@ void print_crossover_shift() {
   io::TextTable table;
   table.set_headers({"FPGA scheduling", "DNN F2A lifetime [years]"});
   for (const bool aware : {false, true}) {
-    core::ModelSuite suite = core::paper_suite();
+    scenario::ScenarioSpec asic_spec =
+        scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, device::Domain::dnn);
+    asic_spec.axes = {
+        scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 4.0, 39)};
+    // Note: a spec's suite applies to BOTH platforms; to keep the ASIC
+    // uniform we run the FPGA under its own spec and splice the series.
+    scenario::ScenarioSpec fpga_spec = asic_spec;
     if (aware) {
-      suite.operation.use_intensity = act::scheduled_intensity(
-          suite.operation.use_intensity, act::DailyProfile::solar_duck(),
-          suite.operation.duty_cycle, act::DutySchedulingPolicy::carbon_aware);
+      act::OperationalParameters& operation = fpga_spec.suite.operation;
+      operation.use_intensity = act::scheduled_intensity(
+          operation.use_intensity, act::DailyProfile::solar_duck(), operation.duty_cycle,
+          act::DutySchedulingPolicy::carbon_aware);
     }
-    // Note: the suite's operation model applies to BOTH platforms inside
-    // one engine; to keep the ASIC uniform we evaluate platforms with
-    // separate engines and splice the series.
-    const scenario::SweepEngine fpga_engine(core::LifecycleModel(suite),
-                                            device::domain_testcase(device::Domain::dnn));
-    const scenario::SweepEngine asic_engine(core::LifecycleModel(core::paper_suite()),
-                                            device::domain_testcase(device::Domain::dnn));
-    const std::vector<double> lifetimes = scenario::linspace(0.2, 4.0, 39);
-    const auto fpga_series = fpga_engine.sweep_lifetime(lifetimes, 5, 1e6);
-    const auto asic_series = asic_engine.sweep_lifetime(lifetimes, 5, 1e6);
+    const scenario::Engine engine;
+    const auto fpga_series = engine.run(fpga_spec).sweep_series();
+    const auto asic_series = engine.run(asic_spec).sweep_series();
     const auto crossovers = scenario::find_crossovers(
         fpga_series.x, asic_series.asic_totals_kg(), fpga_series.fpga_totals_kg());
     const auto f2a = first_crossover(crossovers, scenario::CrossoverKind::f2a);

@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "device/catalog.hpp"
 #include "io/table.hpp"
-#include "scenario/node_dse.hpp"
+#include "scenario/engine.hpp"
 #include "units/format.hpp"
 #include "units/units.hpp"
 
@@ -19,10 +19,16 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
+/// Every database node for the DNN FPGA at the paper's schedule.
+scenario::ScenarioSpec node_spec(const core::ModelSuite& suite) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::node_dse, device::Domain::dnn);
+  spec.suite = suite;
+  return spec;
+}
+
 void print_ranking(const std::string& label, const core::ModelSuite& suite) {
-  const scenario::NodeDse dse(core::LifecycleModel(suite),
-                              core::paper_schedule(device::Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(device::Domain::dnn).fpga);
+  const auto candidates = scenario::Engine().run(node_spec(suite)).candidates;
 
   io::TextTable table;
   table.set_headers({"rank", "node", "die area", "peak power", "embodied [t]",
@@ -52,11 +58,10 @@ void print_reproduction() {
 }
 
 void bm_node_dse(benchmark::State& state) {
-  const scenario::NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                              core::paper_schedule(device::Domain::dnn));
-  const device::ChipSpec chip = device::domain_testcase(device::Domain::dnn).fpga;
+  const scenario::ScenarioSpec spec = node_spec(core::paper_suite());
+  const scenario::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dse.explore(chip));
+    benchmark::DoNotOptimize(engine.run(spec));
   }
 }
 BENCHMARK(bm_node_dse);

@@ -10,7 +10,7 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -18,11 +18,15 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
+/// N_app = 1..12 at the paper's T_i and N_vol.
+scenario::ScenarioSpec domain_spec(device::Domain domain) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 12, 12)};
+  return spec;
+}
+
 scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  return engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                bench::kDefaults.app_volume);
+  return scenario::Engine().run(domain_spec(domain)).sweep_series();
 }
 
 void print_reproduction() {
@@ -46,11 +50,10 @@ void print_reproduction() {
 
 void bm_fig4_sweep(benchmark::State& state) {
   const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
+  const scenario::ScenarioSpec spec = domain_spec(domain);
+  const scenario::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_app_count(1, 12, bench::kDefaults.app_lifetime,
-                                                    bench::kDefaults.app_volume));
+    benchmark::DoNotOptimize(engine.run(spec));
   }
 }
 BENCHMARK(bm_fig4_sweep)

@@ -9,7 +9,7 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -17,12 +17,15 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
+/// T_i = 0.2..2.5 years (24 points) at the paper's N_app and N_vol.
+scenario::ScenarioSpec domain_spec(device::Domain domain) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 2.5, 24)};
+  return spec;
+}
+
 scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
-  return engine.sweep_lifetime(lifetimes, bench::kDefaults.app_count,
-                               bench::kDefaults.app_volume);
+  return scenario::Engine().run(domain_spec(domain)).sweep_series();
 }
 
 void print_reproduction() {
@@ -46,12 +49,10 @@ void print_reproduction() {
 
 void bm_fig5_sweep(benchmark::State& state) {
   const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
+  const scenario::ScenarioSpec spec = domain_spec(domain);
+  const scenario::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_lifetime(lifetimes, bench::kDefaults.app_count,
-                                                   bench::kDefaults.app_volume));
+    benchmark::DoNotOptimize(engine.run(spec));
   }
 }
 BENCHMARK(bm_fig5_sweep)

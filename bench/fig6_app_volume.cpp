@@ -10,7 +10,7 @@
 #include "device/catalog.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -18,12 +18,15 @@ namespace {
 using namespace greenfpga;
 using namespace units::unit;
 
+/// N_vol = 1e3..1e7 (25 log-spaced points) at the paper's N_app and T_i.
+scenario::ScenarioSpec domain_spec(device::Domain domain) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 25)};
+  return spec;
+}
+
 scenario::SweepSeries domain_series(device::Domain domain) {
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 25);
-  return engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                             bench::kDefaults.app_lifetime);
+  return scenario::Engine().run(domain_spec(domain)).sweep_series();
 }
 
 void print_reproduction() {
@@ -47,12 +50,10 @@ void print_reproduction() {
 
 void bm_fig6_sweep(benchmark::State& state) {
   const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(domain));
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 25);
+  const scenario::ScenarioSpec spec = domain_spec(domain);
+  const scenario::Engine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_volume(volumes, bench::kDefaults.app_count,
-                                                 bench::kDefaults.app_lifetime));
+    benchmark::DoNotOptimize(engine.run(spec));
   }
 }
 BENCHMARK(bm_fig6_sweep)

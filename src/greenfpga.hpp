@@ -49,7 +49,7 @@
 #include "core/paper_config.hpp"
 #include "core/param_distributions.hpp"
 
-// Scenarios: the unified engine plus the legacy per-module shims.
+// Scenarios: the unified engine, its result types and algorithm primitives.
 #include "scenario/breakeven.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/heatmap.hpp"

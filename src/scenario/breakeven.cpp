@@ -1,9 +1,5 @@
 /// \file breakeven.cpp
 /// Closed-form crossover solvers from two model probes per platform.
-///
-/// The solves live in free functions (the engine primitives); the legacy
-/// `BreakevenSolver` builds breakeven-kind specs and runs them through
-/// `scenario::Engine`, which dispatches back to the free functions.
 
 #include "scenario/breakeven.hpp"
 
@@ -12,7 +8,7 @@
 
 #include "core/comparator.hpp"
 #include "core/paper_config.hpp"
-#include "scenario/engine.hpp"
+#include "units/format.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -52,42 +48,29 @@ double difference(const core::LifecycleModel& model,
 void require_one_time_accounting(const core::LifecycleModel& model) {
   if (model.suite().appdev.accounting != core::AppDevAccounting::one_time) {
     throw std::invalid_argument(
-        "BreakevenSolver: per-year accounting makes totals bilinear in (T, N_app); "
-        "use the sweep engine instead");
+        "breakeven: per-year suite.appdev.accounting makes totals bilinear in "
+        "(schedule.lifetime_years, schedule.app_count); use a sweep or grid spec");
   }
 }
 
-/// Validity guard: the schedule must fit one FPGA service life.
-void require_single_fleet(const device::DomainTestcase& testcase, int app_count,
-                          units::TimeSpan lifetime) {
-  const double horizon_years =
-      static_cast<double>(app_count) * lifetime.in(units::unit::years);
+/// Validity guard: the probed schedule (`app_count` applications of
+/// `lifetime` each) must fit one FPGA service life.  `solve` names the
+/// spec field that requested the probe.
+void require_single_fleet(const device::DomainTestcase& testcase, const char* solve,
+                          int app_count, units::TimeSpan lifetime) {
+  const double lifetime_years = lifetime.in(units::unit::years);
+  const double horizon_years = static_cast<double>(app_count) * lifetime_years;
   const double service_years = testcase.fpga.service_life.in(units::unit::years);
   if (horizon_years > service_years + 1e-9) {
     throw std::invalid_argument(
-        "BreakevenSolver: schedule exceeds one FPGA service life (" +
-        std::to_string(horizon_years) + " > " + std::to_string(service_years) +
-        " years); affinity breaks at fleet replacement -- use TimelineSimulator");
+        std::string("breakeven: breakeven.") + solve + " probes " +
+        std::to_string(app_count) + " applications x " +
+        units::format_significant(lifetime_years, 6) + " years = " +
+        units::format_significant(horizon_years, 6) +
+        " years, beyond one FPGA service life (" +
+        units::format_significant(service_years, 6) +
+        " years); totals stop being affine at fleet replacement -- use a timeline spec");
   }
-}
-
-/// Spec skeleton for the solver shims.
-ScenarioSpec breakeven_spec(const core::LifecycleModel& model,
-                            const device::DomainTestcase& testcase,
-                            const BreakevenContext& context) {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::breakeven;
-  spec.domain = testcase.domain;
-  spec.suite = model.suite();
-  spec.platforms = {PlatformRef{.name = "asic", .chip = testcase.asic},
-                    PlatformRef{.name = "fpga", .chip = testcase.fpga}};
-  spec.schedule.app_count = context.app_count;
-  spec.schedule.lifetime_years = context.app_lifetime.in(units::unit::years);
-  spec.schedule.volume = context.app_volume;
-  spec.breakeven = BreakevenSpec{.solve_app_count = false,
-                                 .solve_lifetime = false,
-                                 .solve_volume = false};
-  return spec;
 }
 
 }  // namespace
@@ -96,7 +79,8 @@ std::optional<double> solve_app_count_breakeven(const core::LifecycleModel& mode
                                                 const device::DomainTestcase& testcase,
                                                 const BreakevenContext& context) {
   require_one_time_accounting(model);
-  require_single_fleet(testcase, /*app_count=*/2, context.app_lifetime);
+  require_single_fleet(testcase, "solve_app_count", /*app_count=*/2,
+                       context.app_lifetime);
   const double y1 = difference(model, testcase, 1, context.app_lifetime, context.app_volume);
   const double y2 = difference(model, testcase, 2, context.app_lifetime, context.app_volume);
   const std::optional<double> root = affine_root(1.0, y1, 2.0, y2);
@@ -113,7 +97,7 @@ std::optional<double> solve_lifetime_breakeven(const core::LifecycleModel& model
                                                const BreakevenContext& context) {
   using units::unit::years;
   require_one_time_accounting(model);
-  require_single_fleet(testcase, context.app_count, 2.0 * years);
+  require_single_fleet(testcase, "solve_lifetime", context.app_count, 2.0 * years);
   const double y1 =
       difference(model, testcase, context.app_count, 1.0 * years, context.app_volume);
   const double y2 =
@@ -125,38 +109,12 @@ std::optional<double> solve_volume_breakeven(const core::LifecycleModel& model,
                                              const device::DomainTestcase& testcase,
                                              const BreakevenContext& context) {
   require_one_time_accounting(model);
-  require_single_fleet(testcase, context.app_count, context.app_lifetime);
+  require_single_fleet(testcase, "solve_volume", context.app_count, context.app_lifetime);
   const double v1 = 1e5;
   const double v2 = 1e6;
   const double y1 = difference(model, testcase, context.app_count, context.app_lifetime, v1);
   const double y2 = difference(model, testcase, context.app_count, context.app_lifetime, v2);
   return affine_root(v1, y1, v2, y2);
-}
-
-BreakevenSolver::BreakevenSolver(core::LifecycleModel model, device::DomainTestcase testcase)
-    : model_(std::move(model)), testcase_(std::move(testcase)) {
-  require_one_time_accounting(model_);
-}
-
-std::optional<double> BreakevenSolver::app_count_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_app_count = true;
-  return Engine().run(spec).breakeven->app_count;
-}
-
-std::optional<double> BreakevenSolver::lifetime_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_lifetime = true;
-  return Engine().run(spec).breakeven->lifetime_years;
-}
-
-std::optional<double> BreakevenSolver::volume_breakeven(
-    const BreakevenContext& context) const {
-  ScenarioSpec spec = breakeven_spec(model_, testcase_, context);
-  spec.breakeven.solve_volume = true;
-  return Engine().run(spec).breakeven->volume;
 }
 
 }  // namespace greenfpga::scenario

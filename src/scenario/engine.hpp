@@ -19,10 +19,6 @@
 /// Results are **bit-identical across thread counts**: every point is
 /// computed by the same deterministic code from the same inputs, and
 /// workers write to pre-sized slots (pinned by tests/engine_test.cpp).
-///
-/// The legacy per-module classes (SweepEngine, HeatmapEngine,
-/// BreakevenSolver, NodeDse, TimelineSimulator, tornado/monte_carlo) are
-/// thin spec-builders over this engine and remain as deprecated shims.
 
 #include <cstddef>
 #include <memory>
@@ -141,7 +137,7 @@ struct ScenarioResult {
   std::optional<dse::FrontierResult> frontier;  ///< frontier kind
   std::optional<FleetResult> fleet;             ///< fleet kind
 
-  // -- legacy-shaped views (throw std::logic_error when the shape does not
+  // -- ASIC/FPGA views (throw std::logic_error when the shape does not
   //    match, e.g. no ASIC/FPGA platform pair) --------------------------------
   [[nodiscard]] core::Comparison comparison() const;  ///< compare kind
   [[nodiscard]] SweepSeries sweep_series() const;     ///< sweep kind

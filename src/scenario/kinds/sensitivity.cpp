@@ -90,13 +90,11 @@ void execute(const KindRunContext& /*context*/, const core::ModelSuite& suite,
   const device::DomainTestcase testcase = testcase_of(result, "sensitivity");
   const workload::Schedule schedule = spec.schedule.materialise(spec.domain);
   if (spec.sensitivity.run_tornado) {
-    result.tornado =
-        detail::tornado_analysis(suite, testcase, schedule, spec.sensitivity.ranges);
+    result.tornado = tornado(suite, testcase, schedule, spec.sensitivity.ranges);
   }
   if (spec.sensitivity.run_monte_carlo) {
-    result.monte_carlo = detail::monte_carlo_analysis(
-        suite, testcase, schedule, spec.sensitivity.ranges, spec.sensitivity.samples,
-        spec.sensitivity.seed);
+    result.monte_carlo = monte_carlo(suite, testcase, schedule, spec.sensitivity.ranges,
+                                     spec.sensitivity.samples, spec.sensitivity.seed);
   }
 }
 

@@ -44,10 +44,8 @@ struct TornadoEntry {
 };
 
 /// Evaluate every range one-at-a-time around `base`; entries are returned
-/// sorted by descending swing (classic tornado order).
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// sensitivity-kind `ScenarioSpec` and call `Engine::run`.
+/// sorted by descending swing (classic tornado order).  The sensitivity
+/// kind runs this with the spec's `sensitivity.ranges`.
 [[nodiscard]] std::vector<TornadoEntry> tornado(const core::ModelSuite& base,
                                                 const device::DomainTestcase& testcase,
                                                 const workload::Schedule& schedule,
@@ -66,30 +64,13 @@ struct MonteCarloResult {
 };
 
 /// Sample all ranges uniformly and independently `samples` times.
-/// Deterministic for a fixed `seed`.
-///
-/// \deprecated Thin shim over `scenario::Engine`; new code should build a
-/// sensitivity-kind `ScenarioSpec` and call `Engine::run`.
+/// Deterministic for a fixed `seed`.  Throws std::invalid_argument when
+/// `samples` < 1.
 [[nodiscard]] MonteCarloResult monte_carlo(const core::ModelSuite& base,
                                            const device::DomainTestcase& testcase,
                                            const workload::Schedule& schedule,
                                            const std::vector<ParameterRange>& ranges,
                                            int samples, unsigned seed = 42);
-
-namespace detail {
-
-/// Engine primitives: the actual tornado / Monte-Carlo implementations
-/// (identical semantics to the public functions, which shim through
-/// `scenario::Engine`).
-[[nodiscard]] std::vector<TornadoEntry> tornado_analysis(
-    const core::ModelSuite& base, const device::DomainTestcase& testcase,
-    const workload::Schedule& schedule, const std::vector<ParameterRange>& ranges);
-[[nodiscard]] MonteCarloResult monte_carlo_analysis(
-    const core::ModelSuite& base, const device::DomainTestcase& testcase,
-    const workload::Schedule& schedule, const std::vector<ParameterRange>& ranges,
-    int samples, unsigned seed);
-
-}  // namespace detail
 
 }  // namespace greenfpga::scenario
 

@@ -9,10 +9,10 @@
 /// -- platforms (by registry name or explicit device), a model suite, a
 /// deployment schedule, optional sweep/grid axes, an optional time-varying
 /// grid profile, and output selection -- while `scenario::Engine` decides
-/// *how* (dispatch, parallelism, memoisation).  Every legacy scenario
-/// entry point (sweep, heatmap, breakeven, node DSE, timeline,
-/// sensitivity) is a thin builder over this type, and the same shape
-/// round-trips through JSON (`spec_to_json` / `spec_from_json`) so
+/// *how* (dispatch, parallelism, memoisation).  Every experiment (sweep,
+/// heat-map, breakeven, node DSE, timeline, sensitivity, ...) is one of
+/// these, and the same shape round-trips through JSON
+/// (`spec_to_json` / `spec_from_json`) so
 /// arbitrary user-authored scenarios run via `greenfpga run <spec.json>`
 /// without recompiling.
 ///
@@ -92,7 +92,7 @@ struct AxisSpec {
   /// Materialise the sample values.
   [[nodiscard]] std::vector<double> values() const;
 
-  /// Legacy axis label ("N_app", "T_i [years]", "N_vol [units]").
+  /// Axis label ("N_app", "T_i [years]", "N_vol [units]").
   [[nodiscard]] std::string label() const;
 
   [[nodiscard]] static AxisSpec list(SweepVariable variable, std::vector<double> values);
@@ -149,8 +149,8 @@ struct DseSpec {
 
 /// Breakeven-kind parameters: which closed-form solves to run (the
 /// schedule supplies the fixed-point context).  Each solve validates its
-/// own single-fleet precondition, so selecting a subset matches the
-/// legacy per-method behaviour exactly.
+/// own single-fleet precondition, so a spec may select only the solves
+/// whose probes fit one FPGA service life.
 struct BreakevenSpec {
   bool solve_app_count = true;
   bool solve_lifetime = true;

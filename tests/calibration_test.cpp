@@ -8,7 +8,7 @@
 #include "core/comparator.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/sweep.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga {
@@ -17,18 +17,35 @@ namespace {
 using namespace units::unit;
 using core::paper_schedule;
 using device::Domain;
+using scenario::AxisSpec;
 using scenario::CrossoverKind;
-using scenario::SweepEngine;
+using scenario::SweepVariable;
 
-SweepEngine engine_for(Domain domain) {
-  return SweepEngine(core::LifecycleModel(core::paper_suite()),
-                     device::domain_testcase(domain));
+/// A sweep of `domain` over `axis`, the other two variables at the paper
+/// defaults (N_app = 5, T_i = 2 years, N_vol = 1e6).
+scenario::SweepSeries sweep(Domain domain, AxisSpec axis) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, domain);
+  spec.axes = {std::move(axis)};
+  return scenario::Engine().run(spec).sweep_series();
+}
+
+/// N_app = 1, 2, ..., `last`.
+AxisSpec apps_up_to(int last) {
+  return AxisSpec::linear(SweepVariable::app_count, 1, last, last);
+}
+
+/// One (N_app, T_i, N_vol) point of `domain` under the paper suite.
+core::Comparison paper_point(Domain domain, int app_count, units::TimeSpan lifetime,
+                             double volume) {
+  return core::compare(core::LifecycleModel(core::paper_suite()),
+                       device::domain_testcase(domain),
+                       paper_schedule(domain, app_count, lifetime, volume));
 }
 
 // --- Fig. 4: impact of number of applications (T_i = 2 y, N_vol = 1e6) -----
 
 TEST(CalibrationFig4, DnnA2fNearSixApplications) {
-  const auto series = engine_for(Domain::dnn).sweep_app_count(1, 12, 2.0 * years, 1e6);
+  const auto series = sweep(Domain::dnn, apps_up_to(12));
   const auto a2f = first_crossover(series.crossovers(), CrossoverKind::a2f);
   ASSERT_TRUE(a2f.has_value()) << "DNN must have an A2F crossover";
   EXPECT_GE(*a2f, 4.5) << "paper: A2F after 6 applications";
@@ -38,7 +55,7 @@ TEST(CalibrationFig4, DnnA2fNearSixApplications) {
 TEST(CalibrationFig4, ImgprocA2fBeyondEightApplications) {
   // Paper: "the A2F crossover does not happen until N_app = 8; extending
   // the axis, 12 applications are required."
-  const auto series = engine_for(Domain::imgproc).sweep_app_count(1, 16, 2.0 * years, 1e6);
+  const auto series = sweep(Domain::imgproc, apps_up_to(16));
   const auto a2f = first_crossover(series.crossovers(), CrossoverKind::a2f);
   ASSERT_TRUE(a2f.has_value());
   EXPECT_GE(*a2f, 8.0);
@@ -46,7 +63,7 @@ TEST(CalibrationFig4, ImgprocA2fBeyondEightApplications) {
 }
 
 TEST(CalibrationFig4, CryptoFpgaWinsFromFirstApplication) {
-  const auto series = engine_for(Domain::crypto).sweep_app_count(1, 8, 2.0 * years, 1e6);
+  const auto series = sweep(Domain::crypto, apps_up_to(8));
   for (const double ratio : series.ratios()) {
     EXPECT_LT(ratio, 1.0);
   }
@@ -55,8 +72,8 @@ TEST(CalibrationFig4, CryptoFpgaWinsFromFirstApplication) {
 TEST(CalibrationFig4, DomainOrderingDnnBeforeImgproc) {
   // The DNN FPGA amortises sooner than the ImgProc FPGA (smaller area
   // overhead): its A2F point must come first.
-  const auto dnn = engine_for(Domain::dnn).sweep_app_count(1, 16, 2.0 * years, 1e6);
-  const auto imgproc = engine_for(Domain::imgproc).sweep_app_count(1, 16, 2.0 * years, 1e6);
+  const auto dnn = sweep(Domain::dnn, apps_up_to(16));
+  const auto imgproc = sweep(Domain::imgproc, apps_up_to(16));
   const auto dnn_a2f = first_crossover(dnn.crossovers(), CrossoverKind::a2f);
   const auto img_a2f = first_crossover(imgproc.crossovers(), CrossoverKind::a2f);
   ASSERT_TRUE(dnn_a2f && img_a2f);
@@ -66,8 +83,8 @@ TEST(CalibrationFig4, DomainOrderingDnnBeforeImgproc) {
 // --- Fig. 5: impact of application lifetime (N_app = 5, N_vol = 1e6) -------
 
 TEST(CalibrationFig5, DnnF2aNearOnePointSixYears) {
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 47);
-  const auto series = engine_for(Domain::dnn).sweep_lifetime(lifetimes, 5, 1e6);
+  const AxisSpec lifetimes = AxisSpec::linear(SweepVariable::lifetime_years, 0.2, 2.5, 47);
+  const auto series = sweep(Domain::dnn, lifetimes);
   const auto f2a = first_crossover(series.crossovers(), CrossoverKind::f2a);
   ASSERT_TRUE(f2a.has_value()) << "DNN must flip to ASIC at long app lifetimes";
   EXPECT_GE(*f2a, 1.2) << "paper: F2A at about 1.6 years";
@@ -75,16 +92,16 @@ TEST(CalibrationFig5, DnnF2aNearOnePointSixYears) {
 }
 
 TEST(CalibrationFig5, CryptoFpgaAlwaysGreener) {
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
-  const auto series = engine_for(Domain::crypto).sweep_lifetime(lifetimes, 5, 1e6);
+  const AxisSpec lifetimes = AxisSpec::linear(SweepVariable::lifetime_years, 0.2, 2.5, 24);
+  const auto series = sweep(Domain::crypto, lifetimes);
   for (const double ratio : series.ratios()) {
     EXPECT_LT(ratio, 1.0);
   }
 }
 
 TEST(CalibrationFig5, ImgprocAsicAlwaysGreener) {
-  const std::vector<double> lifetimes = scenario::linspace(0.2, 2.5, 24);
-  const auto series = engine_for(Domain::imgproc).sweep_lifetime(lifetimes, 5, 1e6);
+  const AxisSpec lifetimes = AxisSpec::linear(SweepVariable::lifetime_years, 0.2, 2.5, 24);
+  const auto series = sweep(Domain::imgproc, lifetimes);
   for (const double ratio : series.ratios()) {
     EXPECT_GT(ratio, 1.0) << "paper: ASIC sustainable for ImgProc at any lifetime";
   }
@@ -98,8 +115,8 @@ TEST(CalibrationFig6, DnnF2aAtHighVolume) {
   // at the shared (N_app=5, T=2 y, V=1e6) point -- see EXPERIMENTS.md for
   // the analysis.  We pin the crossover to [0.4 M, 3 M]: high-volume, same
   // story ("FPGAs are sustainable for lower application volumes").
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 41);
-  const auto series = engine_for(Domain::dnn).sweep_volume(volumes, 5, 2.0 * years);
+  const AxisSpec volumes = AxisSpec::log(SweepVariable::volume, 1e3, 1e7, 41);
+  const auto series = sweep(Domain::dnn, volumes);
   const auto f2a = first_crossover(series.crossovers(), CrossoverKind::f2a);
   ASSERT_TRUE(f2a.has_value());
   EXPECT_GE(*f2a, 4e5);
@@ -109,9 +126,9 @@ TEST(CalibrationFig6, DnnF2aAtHighVolume) {
 TEST(CalibrationFig6, ImgprocF2aAtLowerVolumeThanDnn) {
   // Paper: ImgProc F2A at ~300 K vs DNN at ~2 M (roughly 7x apart); we
   // preserve the ordering and magnitude gap.
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 41);
-  const auto imgproc = engine_for(Domain::imgproc).sweep_volume(volumes, 5, 2.0 * years);
-  const auto dnn = engine_for(Domain::dnn).sweep_volume(volumes, 5, 2.0 * years);
+  const AxisSpec volumes = AxisSpec::log(SweepVariable::volume, 1e3, 1e7, 41);
+  const auto imgproc = sweep(Domain::imgproc, volumes);
+  const auto dnn = sweep(Domain::dnn, volumes);
   const auto img_f2a = first_crossover(imgproc.crossovers(), CrossoverKind::f2a);
   const auto dnn_f2a = first_crossover(dnn.crossovers(), CrossoverKind::f2a);
   ASSERT_TRUE(img_f2a && dnn_f2a);
@@ -121,8 +138,8 @@ TEST(CalibrationFig6, ImgprocF2aAtLowerVolumeThanDnn) {
 }
 
 TEST(CalibrationFig6, CryptoFpgaGreenerAtEveryVolume) {
-  const std::vector<double> volumes = scenario::logspace(1e3, 1e7, 17);
-  const auto series = engine_for(Domain::crypto).sweep_volume(volumes, 5, 2.0 * years);
+  const AxisSpec volumes = AxisSpec::log(SweepVariable::volume, 1e3, 1e7, 17);
+  const auto series = sweep(Domain::crypto, volumes);
   for (const double ratio : series.ratios()) {
     EXPECT_LT(ratio, 1.0);
   }
@@ -131,10 +148,9 @@ TEST(CalibrationFig6, CryptoFpgaGreenerAtEveryVolume) {
 // --- Fig. 2: motivation (DNN, 1 vs 10 applications) -------------------------
 
 TEST(CalibrationFig2, FpgaInitiallyWorseThenRoughlyQuarterLower) {
-  const SweepEngine engine = engine_for(Domain::dnn);
-  const auto one = engine.evaluate_point(1, 2.0 * years, 1e6);
+  const auto one = paper_point(Domain::dnn, 1, 2.0 * years, 1e6);
   EXPECT_GT(one.ratio(), 1.0) << "single application: FPGA CFP must exceed ASIC";
-  const auto ten = engine.evaluate_point(10, 2.0 * years, 1e6);
+  const auto ten = paper_point(Domain::dnn, 10, 2.0 * years, 1e6);
   // Paper: 25 % lower at ten applications; accept 15-45 %.
   EXPECT_LT(ten.ratio(), 0.85);
   EXPECT_GT(ten.ratio(), 0.55);
@@ -215,13 +231,13 @@ TEST(CalibrationFig11, EolIsASmallContributor) {
 TEST(CalibrationHeadline, FpgaSustainableBelowSixteenMonthLifetimes) {
   // Claim (i): application lifetimes below ~1.6 years favour the FPGA
   // (DNN domain, paper defaults otherwise).
-  const auto comparison = engine_for(Domain::dnn).evaluate_point(5, 1.2 * years, 1e6);
+  const auto comparison = paper_point(Domain::dnn, 5, 1.2 * years, 1e6);
   EXPECT_LT(comparison.ratio(), 1.0);
 }
 
 TEST(CalibrationHeadline, FpgaSustainableAboveFiveApplications) {
   // Claim (ii): more than five applications favour the FPGA.
-  const auto comparison = engine_for(Domain::dnn).evaluate_point(7, 2.0 * years, 1e6);
+  const auto comparison = paper_point(Domain::dnn, 7, 2.0 * years, 1e6);
   EXPECT_LT(comparison.ratio(), 1.0);
 }
 
@@ -229,7 +245,7 @@ TEST(CalibrationHeadline, FpgaSustainableAtLowVolume) {
   // Claim (iii): low application volumes favour the FPGA (all domains at
   // 100 K units, 5 apps, 2-year lifetimes).
   for (const Domain domain : device::all_domains()) {
-    const auto comparison = engine_for(domain).evaluate_point(5, 2.0 * years, 1e5);
+    const auto comparison = paper_point(domain, 5, 2.0 * years, 1e5);
     EXPECT_LT(comparison.ratio(), 1.0) << to_string(domain);
   }
 }

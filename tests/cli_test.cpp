@@ -82,6 +82,37 @@ TEST(Cli, CompareWritesJsonReport) {
   EXPECT_TRUE(report.contains("fpga"));
 }
 
+TEST(Cli, CompareWritesMarkdownReportWithUncertainty) {
+  // The default scenario as Markdown: its uncertainty section is 128
+  // Monte-Carlo samples (seed 42) over the Table 1 ranges.
+  const std::string scenario_path = ::testing::TempDir() + "/greenfpga_cli_default.json";
+  std::ofstream(scenario_path) << run_cli({"dump-config"}).out;
+  const std::string report_path = ::testing::TempDir() + "/greenfpga_cli_report.md";
+  std::filesystem::remove(report_path);
+
+  const CliRun result = run_cli({"compare", scenario_path, "--markdown", report_path});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("wrote " + report_path), std::string::npos) << result.out;
+  std::ifstream in(report_path);
+  ASSERT_TRUE(in.good());
+  const std::string report((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(report.find("**Greener platform: ASIC** — FPGA:ASIC total ratio 1.027"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("## Uncertainty (Table 1 input ranges)\n\n"
+                        "| metric | value |\n"
+                        "|---|---:|\n"
+                        "| samples | 128 |\n"
+                        "| ratio mean | 1.235 |\n"
+                        "| ratio p05 | 1.141 |\n"
+                        "| ratio median | 1.241 |\n"
+                        "| ratio p95 | 1.301 |\n"
+                        "| FPGA wins | 0 % |\n"),
+            std::string::npos)
+      << report;
+}
+
 TEST(Cli, CompareMissingFileIsRuntimeError) {
   const CliRun result = run_cli({"compare", "/nonexistent/scenario.json"});
   EXPECT_EQ(result.exit_code, 1);
@@ -184,6 +215,20 @@ TEST(Cli, RunUsageAndRuntimeErrors) {
   EXPECT_EQ(run_cli({"run"}).exit_code, 2);
   EXPECT_EQ(run_cli({"run", "spec.json", "--bogus"}).exit_code, 2);
   EXPECT_EQ(run_cli({"run", "/nonexistent/spec.json"}).exit_code, 1);
+}
+
+TEST(Cli, RunBreakevenBeyondOneFpgaLifeNamesSpecFields) {
+  // The lifetime solve probes 10 applications x 2 years, past the FPGA's
+  // 15-year service life; the error speaks spec vocabulary.
+  const std::string path = ::testing::TempDir() + "/greenfpga_cli_breakeven_multi_fleet.json";
+  std::ofstream(path) << R"({"kind":"breakeven","domain":"dnn",)"
+                      << R"("schedule":{"app_count":10,"lifetime_years":3}})";
+  const CliRun result = run_cli({"run", path});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_EQ(result.err,
+            "error: breakeven: breakeven.solve_lifetime probes 10 applications x 2 years = "
+            "20 years, beyond one FPGA service life (15 years); totals stop being affine at "
+            "fleet replacement -- use a timeline spec\n");
 }
 
 TEST(Cli, RunSurfacesTheRegistryResolveErrorVerbatim) {

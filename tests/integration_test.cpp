@@ -11,10 +11,7 @@
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "report/figure_writer.hpp"
-#include "scenario/heatmap.hpp"
-#include "scenario/sensitivity.hpp"
-#include "scenario/sweep.hpp"
-#include "scenario/timeline.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga {
@@ -22,6 +19,16 @@ namespace {
 
 using namespace units::unit;
 using device::Domain;
+using scenario::AxisSpec;
+using scenario::SweepVariable;
+
+/// The DNN N_app = 1..`last` sweep at T_i = 2 years, N_vol = 1e6.
+scenario::SweepSeries dnn_app_sweep(int last) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, Domain::dnn);
+  spec.axes = {AxisSpec::linear(SweepVariable::app_count, 1, last, last)};
+  return scenario::Engine().run(spec).sweep_series();
+}
 
 TEST(Integration, ScenarioFileToVerdict) {
   // Write a scenario config to disk, load it, evaluate it, and check the
@@ -44,12 +51,11 @@ TEST(Integration, ScenarioFileToVerdict) {
 }
 
 TEST(Integration, SweepMatchesPointwiseEvaluation) {
-  // The sweep engine must produce exactly what independent single-point
+  // A sweep spec must produce exactly what independent single-point
   // evaluations produce.
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::SweepEngine engine(model, testcase);
-  const scenario::SweepSeries series = engine.sweep_app_count(1, 6, 2.0 * years, 1e6);
+  const scenario::SweepSeries series = dnn_app_sweep(6);
   for (std::size_t i = 0; i < series.x.size(); ++i) {
     const int k = static_cast<int>(series.x[i]);
     const auto direct = core::compare(
@@ -63,15 +69,12 @@ TEST(Integration, SweepMatchesPointwiseEvaluation) {
 
 TEST(Integration, HeatmapRowsMatchSweeps) {
   // A one-row heat-map over N_app must match the N_app sweep ratios.
-  const core::LifecycleModel model(core::paper_suite());
-  const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::SweepEngine sweeper(model, testcase);
-  const scenario::HeatmapEngine mapper(model, testcase);
-
-  const std::vector<int> apps{1, 2, 3, 4, 5};
-  const std::vector<double> lifetimes{2.0};
-  const scenario::Heatmap map = mapper.app_count_vs_lifetime(apps, lifetimes, 1e6);
-  const scenario::SweepSeries series = sweeper.sweep_app_count(1, 5, 2.0 * years, 1e6);
+  scenario::ScenarioSpec grid =
+      scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, Domain::dnn);
+  grid.axes = {AxisSpec::list(SweepVariable::app_count, {1, 2, 3, 4, 5}),
+               AxisSpec::list(SweepVariable::lifetime_years, {2.0})};
+  const scenario::Heatmap map = scenario::Engine().run(grid).heatmap();
+  const scenario::SweepSeries series = dnn_app_sweep(5);
   const std::vector<double> ratios = series.ratios();
   for (std::size_t i = 0; i < ratios.size(); ++i) {
     EXPECT_DOUBLE_EQ(map.ratio[0][i], ratios[i]);
@@ -84,13 +87,10 @@ TEST(Integration, TimelineConsistentWithLifecycleAtAppBoundaries) {
   // model's Eq. (2) total for a k-application schedule.
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::dnn);
-  const scenario::TimelineSimulator simulator(model, testcase);
-  scenario::TimelineParameters p;
-  p.horizon = 10.0 * years;
-  p.app_lifetime = 2.0 * years;
-  p.volume = 1e6;
-  p.step = 2.0 * years;
-  const scenario::TimelineSeries series = simulator.run(p);
+  const scenario::TimelineSeries series =
+      scenario::simulate_timeline(model, testcase, /*horizon_years=*/10.0,
+                                  /*app_lifetime_years=*/2.0, /*volume=*/1e6,
+                                  /*step_years=*/2.0);
 
   // Sample at t = 10 y (end of the 5th application, all five app-dev
   // events charged, single fleet purchase).
@@ -103,13 +103,10 @@ TEST(Integration, TimelineConsistentWithLifecycleAtAppBoundaries) {
 TEST(Integration, TimelineAsicMatchesEquationOne) {
   const core::LifecycleModel model(core::paper_suite());
   const device::DomainTestcase testcase = device::domain_testcase(Domain::imgproc);
-  const scenario::TimelineSimulator simulator(model, testcase);
-  scenario::TimelineParameters p;
-  p.horizon = 6.0 * years;
-  p.app_lifetime = 2.0 * years;
-  p.volume = 1e5;
-  p.step = 2.0 * years;
-  const scenario::TimelineSeries series = simulator.run(p);
+  const scenario::TimelineSeries series =
+      scenario::simulate_timeline(model, testcase, /*horizon_years=*/6.0,
+                                  /*app_lifetime_years=*/2.0, /*volume=*/1e5,
+                                  /*step_years=*/2.0);
   const auto asic_eval = model.evaluate_asic(
       testcase.asic, core::paper_schedule(Domain::imgproc, 3, 2.0 * years, 1e5));
   EXPECT_NEAR(series.asic_cumulative_kg.back(), asic_eval.total.total().canonical(),
@@ -118,9 +115,7 @@ TEST(Integration, TimelineAsicMatchesEquationOne) {
 
 TEST(Integration, FigureCsvRoundTripsThroughParser) {
   // CSV written by the figure writer parses back with consistent totals.
-  const scenario::SweepEngine engine(core::LifecycleModel(core::paper_suite()),
-                                     device::domain_testcase(Domain::dnn));
-  const scenario::SweepSeries series = engine.sweep_app_count(1, 3, 2.0 * years, 1e6);
+  const scenario::SweepSeries series = dnn_app_sweep(3);
   const std::string dir = ::testing::TempDir() + "/gf_integration_results";
   ASSERT_EQ(setenv("GREENFPGA_RESULTS_DIR", dir.c_str(), 1), 0);
   const std::string path = report::write_results_csv("fig4_dnn.csv", report::sweep_csv(series));

@@ -4,7 +4,7 @@
 
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "scenario/node_dse.hpp"
+#include "scenario/engine.hpp"
 #include "units/units.hpp"
 
 namespace greenfpga::scenario {
@@ -12,6 +12,16 @@ namespace {
 
 using namespace units::unit;
 using device::Domain;
+
+/// A node_dse spec's ranking of the domain FPGA over `nodes` (empty: every
+/// database node) at the paper schedule under `suite`.
+std::vector<NodeCandidate> rank_nodes(Domain domain, std::vector<tech::ProcessNode> nodes = {},
+                                      const core::ModelSuite& suite = core::paper_suite()) {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::node_dse, domain);
+  spec.suite = suite;
+  spec.dse.nodes = std::move(nodes);
+  return Engine().run(spec).candidates;
+}
 
 TEST(Retarget, SameNodeIsIdentity) {
   const device::ChipSpec chip = device::domain_testcase(Domain::dnn).asic;
@@ -55,9 +65,7 @@ TEST(Retarget, ReticleViolationThrows) {
 }
 
 TEST(NodeDse, CandidatesSortedAscending) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::dnn).fpga);
+  const auto candidates = rank_nodes(Domain::dnn);
   ASSERT_GE(candidates.size(), 5u);
   for (std::size_t i = 1; i < candidates.size(); ++i) {
     EXPECT_LE(candidates[i - 1].total(), candidates[i].total());
@@ -67,9 +75,7 @@ TEST(NodeDse, CandidatesSortedAscending) {
 }
 
 TEST(NodeDse, SkipsUnmanufacturableNodes) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::imgproc));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::imgproc).fpga);
+  const auto candidates = rank_nodes(Domain::imgproc);
   for (const NodeCandidate& candidate : candidates) {
     EXPECT_LE(candidate.chip.die_area.in(mm2), kReticleLimitMm2);
   }
@@ -78,13 +84,13 @@ TEST(NodeDse, SkipsUnmanufacturableNodes) {
 }
 
 TEST(NodeDse, BestMatchesExploreFront) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const device::ChipSpec chip = device::domain_testcase(Domain::dnn).fpga;
-  const NodeCandidate best = dse.best(chip);
-  const auto all = dse.explore(chip);
-  EXPECT_EQ(best.chip.node, all.front().chip.node);
-  EXPECT_DOUBLE_EQ(best.total().canonical(), all.front().total().canonical());
+  // The winner of the full ranking evaluates identically when its node is
+  // ranked alone.
+  const NodeCandidate best = rank_nodes(Domain::dnn).front();
+  const auto alone = rank_nodes(Domain::dnn, {best.chip.node});
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_EQ(alone.front().chip.node, best.chip.node);
+  EXPECT_DOUBLE_EQ(alone.front().total().canonical(), best.total().canonical());
 }
 
 TEST(NodeDse, MostAdvancedFeasibleNodeWinsAtIsoDesign) {
@@ -93,9 +99,7 @@ TEST(NodeDse, MostAdvancedFeasibleNodeWinsAtIsoDesign) {
   // at iso-design the most advanced node wins on BOTH embodied and
   // operational carbon, and trailing nodes fall off the reticle.  The
   // DSE's value is quantifying the margins and the feasibility frontier.
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const auto candidates = dse.explore(device::domain_testcase(Domain::dnn).fpga);
+  const auto candidates = rank_nodes(Domain::dnn);
   EXPECT_EQ(candidates.front().chip.node, tech::ProcessNode::n3);
   // The 600 mm^2 10 nm design cannot be retargeted to 14 nm or older.
   for (const NodeCandidate& candidate : candidates) {
@@ -109,12 +113,8 @@ TEST(NodeDse, OperationalShareGrowsInDatacenterRegime) {
   // The regimes rank nodes the same way at iso-design, but WHY a node wins
   // shifts: at 2 % duty the winner's advantage is embodied-dominated, at
   // 50 % duty it is operation-dominated.
-  const auto schedule = core::paper_schedule(Domain::dnn);
-  const device::ChipSpec chip = device::domain_testcase(Domain::dnn).fpga;
-  const auto edge_best =
-      NodeDse(core::LifecycleModel(core::paper_suite()), schedule).best(chip);
-  const auto dc_best =
-      NodeDse(core::LifecycleModel(core::industry_suite()), schedule).best(chip);
+  const NodeCandidate edge_best = rank_nodes(Domain::dnn).front();
+  const NodeCandidate dc_best = rank_nodes(Domain::dnn, {}, core::industry_suite()).front();
   const auto op_share = [](const NodeCandidate& candidate) {
     return candidate.lifecycle.operational.canonical() /
            candidate.lifecycle.total().canonical();
@@ -124,20 +124,20 @@ TEST(NodeDse, OperationalShareGrowsInDatacenterRegime) {
 }
 
 TEST(NodeDse, ExplicitNodeListRespected) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::dnn));
-  const std::vector<tech::ProcessNode> nodes{tech::ProcessNode::n8, tech::ProcessNode::n7};
   const auto candidates =
-      dse.explore(device::domain_testcase(Domain::dnn).fpga, nodes);
+      rank_nodes(Domain::dnn, {tech::ProcessNode::n8, tech::ProcessNode::n7});
   EXPECT_EQ(candidates.size(), 2u);
 }
 
 TEST(NodeDse, NoFeasibleNodeThrows) {
-  const NodeDse dse(core::LifecycleModel(core::paper_suite()),
-                    core::paper_schedule(Domain::imgproc));
-  const std::vector<tech::ProcessNode> nodes{tech::ProcessNode::n28};
-  EXPECT_THROW(dse.explore(device::domain_testcase(Domain::imgproc).fpga, nodes),
-               std::invalid_argument);
+  try {
+    (void)rank_nodes(Domain::imgproc, {tech::ProcessNode::n28});
+    FAIL() << "a 28 nm ImgProc FPGA exceeds the reticle";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("node_dse: no node in dse.nodes"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

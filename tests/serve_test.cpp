@@ -281,6 +281,18 @@ TEST_F(ServeTest, BadSpecAnswers400NamingTheOffendingKey) {
       << batch.body;
 }
 
+TEST_F(ServeTest, BreakevenBeyondOneFpgaLifeAnswers400NamingSpecFields) {
+  HttpClient http = client();
+  const HttpResponse response = http.request(
+      "POST", "/v1/run",
+      R"({"kind":"breakeven","domain":"dnn","schedule":{"app_count":10,"lifetime_years":3}})");
+  ASSERT_EQ(response.status, 400) << response.body;
+  EXPECT_EQ(io::parse_json(response.body).at("error").as_string(),
+            "breakeven: breakeven.solve_lifetime probes 10 applications x 2 years = 20 years, "
+            "beyond one FPGA service life (15 years); totals stop being affine at fleet "
+            "replacement -- use a timeline spec");
+}
+
 TEST_F(ServeTest, DepthBombAnswers400WithoutCrashing) {
   HttpClient http = client();
   const std::string bomb(100'000, '[');

@@ -1,34 +1,26 @@
-/// Tests for the Fig. 9 timeline simulator (chip-lifetime replacement).
+/// Tests for the Fig. 9 timeline replay (chip-lifetime replacement).
 
 #include <gtest/gtest.h>
 
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
 #include "scenario/timeline.hpp"
-#include "units/units.hpp"
 
 namespace greenfpga::scenario {
 namespace {
 
-using namespace units::unit;
 using device::Domain;
 
-TimelineSimulator simulator_for(Domain domain) {
-  return TimelineSimulator(core::LifecycleModel(core::paper_suite()),
-                           device::domain_testcase(domain));
-}
-
-TimelineParameters paper_parameters() {
-  TimelineParameters p;
-  p.horizon = 45.0 * years;
-  p.app_lifetime = 1.0 * years;
-  p.volume = 1e6;
-  p.step = 0.25 * years;
-  return p;
+/// The paper's Fig. 9 replay: 1-year applications, 1e6 volume,
+/// quarter-year samples over a 45-year horizon by default.
+TimelineSeries replay(Domain domain, double horizon_years = 45.0) {
+  return simulate_timeline(core::LifecycleModel(core::paper_suite()),
+                           device::domain_testcase(domain), horizon_years,
+                           /*app_lifetime_years=*/1.0, /*volume=*/1e6, /*step_years=*/0.25);
 }
 
 TEST(Timeline, SeriesCoversHorizon) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   ASSERT_FALSE(series.time_years.empty());
   EXPECT_DOUBLE_EQ(series.time_years.front(), 0.0);
   EXPECT_DOUBLE_EQ(series.time_years.back(), 45.0);
@@ -37,7 +29,7 @@ TEST(Timeline, SeriesCoversHorizon) {
 }
 
 TEST(Timeline, CumulativeSeriesNeverDecrease) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   for (std::size_t i = 1; i < series.time_years.size(); ++i) {
     EXPECT_GE(series.asic_cumulative_kg[i], series.asic_cumulative_kg[i - 1]);
     EXPECT_GE(series.fpga_cumulative_kg[i], series.fpga_cumulative_kg[i - 1]);
@@ -45,7 +37,7 @@ TEST(Timeline, CumulativeSeriesNeverDecrease) {
 }
 
 TEST(Timeline, FpgaFleetRepurchasedEveryFifteenYears) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   // 45-year horizon, 15-year FPGA service life: purchases at 0, 15, 30.
   ASSERT_EQ(series.fpga_purchase_years.size(), 3u);
   EXPECT_DOUBLE_EQ(series.fpga_purchase_years[0], 0.0);
@@ -54,7 +46,7 @@ TEST(Timeline, FpgaFleetRepurchasedEveryFifteenYears) {
 }
 
 TEST(Timeline, FpgaJumpsAtServiceLifeBoundaries) {
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   // Find samples just before and at year 15: the FPGA step must exceed the
   // typical between-year step (operation + appdev) by the fleet embodied.
   const auto at = [&](double year) {
@@ -74,7 +66,7 @@ TEST(Timeline, FpgaJumpsAtServiceLifeBoundaries) {
 TEST(Timeline, AsicStaircaseHasNoFifteenYearJump) {
   // ASIC chips are re-manufactured every application (yearly) anyway, so
   // year 15 looks like any other year.
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   std::vector<double> yearly_steps;
   for (double year = 1.0; year <= 45.0; year += 1.0) {
     const auto index = static_cast<std::size_t>(year / 0.25);
@@ -87,29 +79,27 @@ TEST(Timeline, AsicStaircaseHasNoFifteenYearJump) {
 }
 
 TEST(Timeline, ShortHorizonHasSinglePurchase) {
-  TimelineParameters p = paper_parameters();
-  p.horizon = 10.0 * years;
-  const TimelineSeries series = simulator_for(Domain::dnn).run(p);
+  const TimelineSeries series = replay(Domain::dnn, /*horizon_years=*/10.0);
   EXPECT_EQ(series.fpga_purchase_years.size(), 1u);
 }
 
 TEST(Timeline, OneYearAppsFavourFpgaForDnn) {
   // Fig. 9 story: with 1-year applications, DNN FPGAs stay below ASICs
   // even across fleet replacements.
-  const TimelineSeries series = simulator_for(Domain::dnn).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::dnn);
   EXPECT_LT(series.fpga_cumulative_kg.back(), series.asic_cumulative_kg.back());
 }
 
 TEST(Timeline, ImgprocSeesMultipleCrossovers) {
   // Fig. 9 (ImgProc): the 15/30-year jumps produce repeated A2F/F2A flips.
-  const TimelineSeries series = simulator_for(Domain::imgproc).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::imgproc);
   const auto crossovers = series.crossovers();
   EXPECT_GE(crossovers.size(), 2u)
       << "paper reports multiple A2F and F2A crossovers for ImgProc";
 }
 
 TEST(Timeline, CryptoFpgaAlwaysBelow) {
-  const TimelineSeries series = simulator_for(Domain::crypto).run(paper_parameters());
+  const TimelineSeries series = replay(Domain::crypto);
   for (std::size_t i = 1; i < series.time_years.size(); ++i) {
     EXPECT_LT(series.fpga_cumulative_kg[i], series.asic_cumulative_kg[i])
         << "at year " << series.time_years[i];
@@ -117,15 +107,12 @@ TEST(Timeline, CryptoFpgaAlwaysBelow) {
 }
 
 TEST(Timeline, InvalidParametersThrow) {
-  TimelineParameters p = paper_parameters();
-  p.horizon = units::TimeSpan{};
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
-  p = paper_parameters();
-  p.volume = 0.0;
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
-  p = paper_parameters();
-  p.step = units::TimeSpan{-1.0};
-  EXPECT_THROW(simulator_for(Domain::dnn).run(p), std::invalid_argument);
+  const core::LifecycleModel model(core::paper_suite());
+  const device::DomainTestcase dnn = device::domain_testcase(Domain::dnn);
+  EXPECT_THROW(simulate_timeline(model, dnn, 0.0, 1.0, 1e6, 0.25), std::invalid_argument);
+  EXPECT_THROW(simulate_timeline(model, dnn, 45.0, 0.0, 1e6, 0.25), std::invalid_argument);
+  EXPECT_THROW(simulate_timeline(model, dnn, 45.0, 1.0, 0.0, 0.25), std::invalid_argument);
+  EXPECT_THROW(simulate_timeline(model, dnn, 45.0, 1.0, 1e6, -1.0), std::invalid_argument);
 }
 
 }  // namespace

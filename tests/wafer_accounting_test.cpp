@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "act/fab_model.hpp"
 #include "tech/yield.hpp"
 #include "units/units.hpp"
@@ -87,28 +90,34 @@ TEST(WaferAccounting, OversizedDieThrows) {
 // a sane envelope (0-50 %) -- it models edge loss, not a different fab.
 struct WaferCase {
   ProcessNode node;
+  // gtest names each case from the raw bytes of its parameter. Implicit
+  // padding after `node` would carry stack garbage into those names, which
+  // then vary with the build directory and working directory; spelling the
+  // padding out as zeros keeps the names stable.
+  std::array<std::uint8_t, 6> zero_padding{};
   double area_mm2;
 };
+static_assert(sizeof(WaferCase) == 16, "WaferCase must have no implicit padding");
 
 class WaferOverheadProperty : public ::testing::TestWithParam<WaferCase> {};
 
 TEST_P(WaferOverheadProperty, OverheadBounded) {
   const FabModel model;
-  const auto [node, area_mm2] = GetParam();
-  const double per_area = model.manufacture_die(node, area_mm2 * mm2).total().canonical();
+  const WaferCase& c = GetParam();
+  const double per_area = model.manufacture_die(c.node, c.area_mm2 * mm2).total().canonical();
   const double per_wafer =
-      model.manufacture_die_wafer_based(node, area_mm2 * mm2).total().canonical();
+      model.manufacture_die_wafer_based(c.node, c.area_mm2 * mm2).total().canonical();
   const double overhead = per_wafer / per_area;
   EXPECT_GE(overhead, 1.0);
   EXPECT_LE(overhead, 1.50);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, WaferOverheadProperty,
-                         ::testing::Values(WaferCase{ProcessNode::n28, 50.0},
-                                           WaferCase{ProcessNode::n14, 150.0},
-                                           WaferCase{ProcessNode::n10, 340.0},
-                                           WaferCase{ProcessNode::n7, 600.0},
-                                           WaferCase{ProcessNode::n5, 820.0}));
+                         ::testing::Values(WaferCase{ProcessNode::n28, {}, 50.0},
+                                           WaferCase{ProcessNode::n14, {}, 150.0},
+                                           WaferCase{ProcessNode::n10, {}, 340.0},
+                                           WaferCase{ProcessNode::n7, {}, 600.0},
+                                           WaferCase{ProcessNode::n5, {}, 820.0}));
 
 }  // namespace
 }  // namespace greenfpga::act
