@@ -1,25 +1,33 @@
 /// \file commands.cpp
 /// The `greenfpga` subcommands as stream-parameterised entry points.
 ///
-/// Every evaluating command builds a `scenario::ScenarioSpec` and runs it
-/// through `scenario::Engine`; the spec path (`greenfpga run`) accepts the
-/// same shape from a JSON file, so anything the CLI can do is also
-/// expressible declaratively without recompiling.  Rendering is not done
-/// here: results lower into `report::ResultFrame`s and the `--format`
-/// renderers in `report::result_render` present them.
+/// Every command is a row of one table: its name, the flags it accepts
+/// and either a handler or a spec shorthand.  One flag parser serves all
+/// of them (and the global flags).  A shorthand (`mc`, `fleet`,
+/// `frontier`, `sweep`, `nodes`) is a spelling of a `ScenarioSpec`: its
+/// positionals and flags land at spec JSON paths and the document goes
+/// through `scenario::spec_from_json`, the reader behind `greenfpga run`,
+/// so a shorthand never checks a field the spec reader already checks.
+/// Rendering is not done here: results lower into `report::ResultFrame`s
+/// and the `--format` renderers in `report::result_render` present them.
 
 #include "cli/commands.hpp"
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <regex>
+#include <span>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "bench/artifact.hpp"
@@ -29,12 +37,10 @@
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
 #include "device/catalog.hpp"
-#include "dse/frontier_spec.hpp"
 #include "report/figure_writer.hpp"
 #include "report/markdown_report.hpp"
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
-#include "scenario/fleet.hpp"
 #include "scenario/kind_registry.hpp"
 #include "scenario/result_io.hpp"
 #include "serve/handlers.hpp"
@@ -46,8 +52,131 @@ namespace greenfpga::cli {
 
 namespace {
 
-scenario::Engine make_engine(const CommandContext& context) {
-  return scenario::Engine(scenario::EngineOptions{.threads = context.threads});
+/// The global flags of one invocation, threaded explicitly through every
+/// command (no process-wide state).
+struct CommandContext {
+  /// Engine worker count; 0 = GREENFPGA_THREADS, else hardware
+  /// concurrency (see scenario::Engine::default_threads).
+  int threads = 0;
+  report::OutputFormat format = report::OutputFormat::text;
+  /// Output file path (for `batch`: the results directory).
+  std::optional<std::string> output;
+};
+
+/// A failure whose message is the whole diagnostic: `dispatch` prints it
+/// verbatim and exits with `code` (2 usage error, 1 runtime failure).
+struct CliError : std::runtime_error {
+  explicit CliError(const std::string& message, int exit_code = 2)
+      : std::runtime_error(message), code(exit_code) {}
+  int code;
+};
+
+/// A named spec fragment a shorthand value can select (an axis shape).
+struct Preset {
+  std::string_view name;
+  std::string_view json;
+};
+
+/// One accepted flag.  A shorthand flag also names the spec JSON path its
+/// value lands at (an empty path is an output file: `--json`, `--csv`).
+/// The value is JSON when it parses (`16`, `0.8`), else a string
+/// (`embodied`); a `list` value `a,b,...` is an array of the named
+/// presets' JSON or, with no presets, of at least two strings.
+struct Flag {
+  std::string_view name;
+  bool takes_value = true;
+  std::string_view path = {};
+  bool list = false;
+  std::span<const Preset> presets = {};
+};
+
+/// One command line, split against a flag table.
+struct Args {
+  std::vector<std::string> positional;
+  /// (flag, value) in command-line order; a switch's value is empty.
+  std::vector<std::pair<const Flag*, std::string>> flags;
+
+  [[nodiscard]] std::vector<std::string> values(std::string_view flag) const {
+    std::vector<std::string> found;
+    for (const auto& [spec, value] : flags) {
+      if (spec->name == flag) {
+        found.push_back(value);
+      }
+    }
+    return found;
+  }
+  /// The last value given for `flag` (a repeated flag overrides).
+  [[nodiscard]] std::optional<std::string> last(std::string_view flag) const {
+    const std::vector<std::string> found = values(flag);
+    return found.empty() ? std::nullopt : std::optional(found.back());
+  }
+  [[nodiscard]] bool has(std::string_view flag) const { return last(flag).has_value(); }
+};
+
+/// The one flag loop.  An argument naming a flag of `table` takes the next
+/// argument as its value (a missing value is a usage error); any other
+/// `--word` is an unknown argument, unless `pass_unknown` -- the global
+/// pass, which leaves the command's own arguments in `positional`.
+Args parse_flags(std::string_view command, const std::vector<std::string>& args,
+                 std::span<const Flag> table, bool pass_unknown = false) {
+  Args parsed;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const auto flag = std::find_if(table.begin(), table.end(),
+                                   [&](const Flag& each) { return each.name == args[i]; });
+    if (flag == table.end()) {
+      if (!pass_unknown && args[i].starts_with("--")) {
+        throw CliError(std::string(command) + ": unknown argument '" + args[i] + "'");
+      }
+      parsed.positional.push_back(args[i]);
+    } else if (!flag->takes_value) {
+      parsed.flags.emplace_back(&*flag, std::string());
+    } else if (i + 1 == args.size()) {
+      throw CliError(std::string(command) + ": " + args[i] + " needs a value");
+    } else {
+      parsed.flags.emplace_back(&*flag, args[++i]);
+    }
+  }
+  return parsed;
+}
+
+/// Requires exactly `count` positionals: too few prints `expected`, a
+/// surplus names the first extra argument.
+void expect_positionals(std::string_view command, const Args& args, std::size_t count,
+                        std::string_view expected) {
+  if (args.positional.size() < count) {
+    throw CliError(std::string(command) + ": " + std::string(expected));
+  }
+  if (args.positional.size() > count) {
+    throw CliError(std::string(command) + ": unexpected argument '" +
+                   args.positional[count] + "'");
+  }
+}
+
+/// A numeric flag that is not a spec field (`--threads`, `serve`,
+/// `bench --max-regression`), or `fallback` when absent.  The one strict
+/// read: the whole text must parse, without overflow, inside [lo, hi]
+/// (NaN never is); anything else is a usage error quoting `range`.
+template <typename T>
+T number_flag(std::string_view command, const Args& args, std::string_view flag, T fallback,
+              T lo, T hi, std::string_view range) {
+  const std::optional<std::string> text = args.last(flag);
+  if (!text) {
+    return fallback;
+  }
+  char* end = nullptr;
+  errno = 0;
+  T value;
+  if constexpr (std::is_integral_v<T>) {
+    value = std::strtol(text->c_str(), &end, 10);
+  } else {
+    value = std::strtod(text->c_str(), &end);
+  }
+  if (text->empty() || end != text->c_str() + text->size() || errno == ERANGE ||
+      !(value >= lo && value <= hi)) {
+    throw CliError(std::string(command) + ": invalid " + std::string(flag) + " '" + *text +
+                   "' (" + std::string(range) + ")");
+  }
+  return value;
 }
 
 std::optional<device::Domain> parse_domain(const std::string& text) {
@@ -57,111 +186,213 @@ std::optional<device::Domain> parse_domain(const std::string& text) {
   return std::nullopt;
 }
 
-/// Run `render` against `--output` (if set) or `out`.  An unwritable
-/// output path fails naming the flag and the value, matching the spec
-/// parse-error style.
-int emit(const CommandContext& context, const std::function<void(std::ostream&)>& render,
-         std::ostream& out, std::ostream& err) {
-  if (!context.output) {
-    render(out);
-    return 0;
-  }
-  const std::filesystem::path path(*context.output);
-  if (path.has_parent_path()) {
-    std::error_code ignored;
-    std::filesystem::create_directories(path.parent_path(), ignored);
-  }
-  std::ofstream file(path);
-  if (!file) {
-    err << "--output: cannot write '" << *context.output << "'\n";
-    return 1;
-  }
-  render(file);
-  out << "wrote " << *context.output << "\n";
-  return 0;
+scenario::Engine make_engine(const CommandContext& context) {
+  return scenario::Engine(scenario::EngineOptions{.threads = context.threads});
 }
 
-int emit_result(const CommandContext& context, const scenario::ScenarioResult& result,
-                std::ostream& out, std::ostream& err) {
-  return emit(
+using Render = std::function<void(std::ostream&)>;
+
+/// The one output-file writer (`--output`, `--json`, `--csv`,
+/// `--markdown`): creates missing parent directories, reports
+/// "wrote <path>", and fails naming the flag and the path.
+void write_output(std::string_view flag, const std::string& path, const Render& render,
+                  std::ostream& out) {
+  const std::filesystem::path file_path(path);
+  if (file_path.has_parent_path()) {
+    std::error_code ignored;
+    std::filesystem::create_directories(file_path.parent_path(), ignored);
+  }
+  std::ofstream file(file_path);
+  if (!file) {
+    throw CliError(std::string(flag) + ": cannot write '" + path + "'", 1);
+  }
+  render(file);
+  out << "wrote " << path << "\n";
+}
+
+/// Run `render` against `--output` (if set) or `out`.
+void emit(const CommandContext& context, const Render& render, std::ostream& out) {
+  if (context.output) {
+    write_output("--output", *context.output, render, out);
+  } else {
+    render(out);
+  }
+}
+
+void emit_result(const CommandContext& context, const scenario::ScenarioResult& result,
+                 std::ostream& out) {
+  emit(
       context,
       [&result, &context](std::ostream& stream) {
         report::render_result(result, context.format, stream);
       },
-      out, err);
+      out);
 }
 
-int emit_frames(const CommandContext& context,
-                std::span<const report::ResultFrame> frames, std::ostream& out,
-                std::ostream& err) {
-  return emit(
-      context,
-      [frames, &context](std::ostream& stream) {
-        report::render_frames(frames, context.format, stream);
-      },
-      out, err);
+/// Pretty JSON plus a trailing newline (the `io::write_json_file` bytes).
+Render json_render(io::Json value) {
+  return [value = std::move(value)](std::ostream& stream) {
+    std::string text;
+    value.dump_to(text);
+    text.push_back('\n');
+    stream << text;
+  };
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream stream(text);
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
+/// Whether `--csv` has per-sample Monte-Carlo totals to export (the
+/// kind's module decides: montecarlo always, fleet with samples).
+bool exports_samples(const scenario::ScenarioSpec& spec) {
+  const scenario::KindModule& module = scenario::kind_module(spec.kind);
+  return module.sample_csv != nullptr && module.sample_csv(spec);
 }
 
-/// Default axis shape for one `--axes` entry of `greenfpga frontier`;
-/// custom ranges go through `greenfpga run` with a frontier spec.
-std::optional<dse::FrontierAxisSpec> frontier_axis_preset(const std::string& name) {
-  const std::optional<dse::FrontierVariable> variable =
-      dse::parse_frontier_variable(name);
-  if (!variable) {
-    return std::nullopt;
-  }
-  switch (*variable) {
-    case dse::FrontierVariable::app_count:
-      return dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1.0, 10.0,
-                                           10);
-    case dse::FrontierVariable::lifetime_years:
-      return dse::FrontierAxisSpec::linear(dse::FrontierVariable::lifetime_years, 0.5,
-                                           8.0, 10);
-    case dse::FrontierVariable::volume:
-      return dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e4, 1e7, 10);
-    case dse::FrontierVariable::node:
-      return dse::FrontierAxisSpec::node_list({});
-  }
-  return std::nullopt;
-}
-
-/// Shared tail of `run` and `mc`: evaluate the spec, render per --format,
-/// write the optional legacy machine-readable exports.
+/// Shared tail of `run` and the shorthands: evaluate the spec, render per
+/// --format, write the optional --json result and --csv samples.
 int run_and_emit(const CommandContext& context, const scenario::ScenarioSpec& spec,
-                 const std::optional<std::string>& json_out,
-                 const std::optional<std::string>& csv_out, std::ostream& out,
-                 std::ostream& err) {
+                 const Args& args, std::ostream& out) {
   const scenario::ScenarioResult result = make_engine(context).run(spec);
-  const int code = emit_result(context, result, out, err);
-  if (code != 0) {
-    return code;
+  emit_result(context, result, out);
+  if (const std::optional<std::string> path = args.last("--json")) {
+    write_output("--json", *path, json_render(scenario::result_to_json(result)), out);
   }
-  if (json_out) {
-    io::write_json_file(*json_out, scenario::result_to_json(result));
-    out << "wrote " << *json_out << "\n";
-  }
-  if (csv_out) {
-    report::frame_to_csv(scenario::mc_samples_frame(result)).write_file(*csv_out);
-    out << "wrote " << *csv_out << "\n";
+  if (const std::optional<std::string> path = args.last("--csv")) {
+    write_output(
+        "--csv", *path,
+        [&result](std::ostream& stream) {
+          stream << report::frame_to_csv(scenario::mc_samples_frame(result)).render();
+        },
+        out);
   }
   return 0;
 }
 
-}  // namespace
+using Handler = int (*)(const CommandContext&, const Args&, std::ostream&, std::ostream&);
 
-int print_usage(std::ostream& out, bool error) {
+/// One row of the command table: a name, its flags, and either a handler
+/// or -- a spec shorthand -- the spec it spells.
+struct Command {
+  std::string_view name;
+  std::span<const Flag> flags = {};
+  Handler run = nullptr;
+  /// Shorthands: the spec kind; the positionals after the domain (sweep's
+  /// variable), read like flags; the spec JSON to start from; and the
+  /// spec name (it shows in the output) from the domain's display name
+  /// and the spec JSON built so far.
+  std::string_view kind = {};
+  std::span<const Flag> positionals = {};
+  std::string_view base = {};
+  std::string (*title)(const std::string& domain, const io::Json& spec) = nullptr;
+};
+
+/// The JSON value a shorthand flag's text stands for.
+io::Json flag_value(const Flag& flag, const std::string& text) {
+  if (!flag.list) {
+    try {
+      return io::parse_json(text);
+    } catch (const io::JsonError&) {
+      return io::Json(text);
+    }
+  }
+  io::Json items = io::Json::array();
+  std::istringstream stream(text);
+  for (std::string name; std::getline(stream, name, ',');) {
+    if (name.empty()) {
+      continue;
+    }
+    if (flag.presets.empty()) {
+      items.push_back(name);
+      continue;
+    }
+    const auto preset = std::find_if(flag.presets.begin(), flag.presets.end(),
+                                     [&](const Preset& each) { return each.name == name; });
+    if (preset == flag.presets.end()) {
+      std::string known;
+      for (const Preset& each : flag.presets) {
+        known.append(known.empty() ? "" : ", ").append(each.name);
+      }
+      throw std::invalid_argument("'" + name + "' is not one of " + known);
+    }
+    items.push_back(io::parse_json(preset->json));
+  }
+  if (flag.presets.empty() && items.size() < 2) {
+    throw std::invalid_argument("needs at least two comma-separated names");
+  }
+  return items;
+}
+
+/// `json["a"]["b"] = value` for the path "a.b", creating objects on the way.
+void set_path(io::Json& json, std::string_view path, io::Json value) {
+  io::Json* node = &json;
+  for (std::size_t dot = path.find('.'); dot != std::string_view::npos;
+       dot = path.find('.')) {
+    node = &(*node)[std::string(path.substr(0, dot))];
+    if (node->is_null()) {
+      *node = io::Json::object();
+    }
+    path.remove_prefix(dot + 1);
+  }
+  (*node)[std::string(path)] = std::move(value);
+}
+
+std::string joined_platforms(const io::Json& spec, std::string_view separator) {
+  std::string joined;
+  if (spec.contains("platforms")) {
+    for (const io::Json& name : spec.at("platforms").as_array()) {
+      joined.append(joined.empty() ? "" : separator).append(name.as_string());
+    }
+  }
+  return joined;
+}
+
+int run_shorthand(const Command& shorthand, const CommandContext& context, const Args& args,
+                  std::ostream& out) {
+  const std::string name(shorthand.name);
+  std::string expected = "expected <dnn|imgproc|crypto>";
+  for (const Flag& slot : shorthand.positionals) {
+    expected.append(" <").append(slot.name).append(">");
+  }
+  expect_positionals(name, args, 1 + shorthand.positionals.size(), expected);
+  const std::optional<device::Domain> domain = parse_domain(args.positional[0]);
+  if (!domain) {
+    throw CliError(name + ": unknown domain '" + args.positional[0] + "'");
+  }
+
+  io::Json json = shorthand.base.empty() ? io::Json::object() : io::parse_json(shorthand.base);
+  json["kind"] = shorthand.kind;
+  json["domain"] = args.positional[0];
+  const auto read = [&] {
+    json["name"] = shorthand.title(to_string(*domain), json);
+    return scenario::spec_from_json(json);
+  };
+  // Positional slots, then flags in command-line order; the spec is
+  // re-read after each, so a bad value is reported against its flag.
+  std::vector<std::pair<const Flag*, std::string>> settings;
+  for (std::size_t i = 0; i < shorthand.positionals.size(); ++i) {
+    settings.emplace_back(&shorthand.positionals[i], args.positional[i + 1]);
+  }
+  settings.insert(settings.end(), args.flags.begin(), args.flags.end());
+  for (const auto& [flag, text] : settings) {
+    if (flag->path.empty()) {
+      continue;  // an output file
+    }
+    try {
+      set_path(json, flag->path, flag_value(*flag, text));
+      (void)read();
+    } catch (const std::exception& error) {
+      throw CliError(name + ": invalid " + std::string(flag->name) + " '" + text +
+                     "': " + error.what());
+    }
+  }
+  const scenario::ScenarioSpec spec = read();
+  if (args.has("--csv") && !exports_samples(spec)) {
+    throw CliError(name + ": --csv exports Monte-Carlo samples; pass --samples N (> 0)");
+  }
+  return run_and_emit(context, spec, args, out);
+}
+
+/// Print the usage text; returns exit code 2 (callers print usage on
+/// errors) -- pass `error = false` for `--help`, which exits 0.
+int print_usage(std::ostream& out, bool error = true) {
   out << "GreenFPGA: lifecycle carbon-footprint comparison of FPGA and ASIC computing\n"
          "\n"
          "usage:\n"
@@ -241,138 +472,51 @@ int print_usage(std::ostream& out, bool error) {
   return error ? 2 : 0;
 }
 
-int run_spec(const CommandContext& context, const std::vector<std::string>& args,
-            std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "run: missing spec file\n";
-    return 2;
-  }
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--json" && i + 1 < args.size()) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--csv" && i + 1 < args.size()) {
-      csv_out = args[i + 1];
-      ++i;
-    } else {
-      err << "run: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
+int run_spec(const CommandContext& context, const Args& args, std::ostream& out,
+             std::ostream& /*err*/) {
+  expect_positionals("run", args, 1, "missing spec file");
   // load_spec reports parse/validation errors with the spec path and the
   // offending key, so a bad file fails with an actionable message.
-  const scenario::ScenarioSpec spec = scenario::load_spec(args[0]);
-  // The kind's module says whether this spec produces per-sample totals
-  // (montecarlo always; fleet only with mc_samples > 0).
-  const scenario::KindModule& module = scenario::kind_module(spec.kind);
-  if (csv_out && (module.sample_csv == nullptr || !module.sample_csv(spec))) {
-    err << "run: --csv exports Monte-Carlo samples; spec '" << spec.name
-        << "' has kind " << to_string(spec.kind) << "\n";
-    return 2;
+  const scenario::ScenarioSpec spec = scenario::load_spec(args.positional[0]);
+  if (args.has("--csv") && !exports_samples(spec)) {
+    throw CliError("run: --csv exports Monte-Carlo samples; spec '" + spec.name +
+                   "' has kind " + to_string(spec.kind));
   }
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
+  return run_and_emit(context, spec, args, out);
 }
 
-namespace {
-
-/// Strict bounded integer flag parse (trailing garbage and overflow
-/// rejected), mirroring the global --threads rules.
-std::optional<long> parse_flag_int(const std::string& value, long lo, long hi) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
-      parsed < lo || parsed > hi) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-}  // namespace
-
-int run_serve(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err) {
+int run_serve(const CommandContext& context, const Args& args, std::ostream& out,
+              std::ostream& /*err*/) {
+  expect_positionals("serve", args, 0, "");
+  const auto number = [&args](std::string_view flag, long fallback, long lo, long hi,
+                              std::string_view range) {
+    return number_flag("serve", args, flag, fallback, lo, hi, range);
+  };
   serve::ServerOptions server_options;
-  server_options.port = 8080;
-  std::size_t cache_capacity = 1024;
-  std::size_t cache_shards = 8;
-  std::string cache_dir;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--port" && has_value) {
-      const auto port = parse_flag_int(args[i + 1], 0, 65535);
-      if (!port) {
-        err << "serve: invalid --port '" << args[i + 1] << "' (0..65535; 0 = ephemeral)\n";
-        return 2;
-      }
-      server_options.port = static_cast<int>(*port);
-      ++i;
-    } else if (args[i] == "--host" && has_value) {
-      server_options.host = args[i + 1];
-      ++i;
-    } else if (args[i] == "--cache-capacity" && has_value) {
-      const auto capacity = parse_flag_int(args[i + 1], 1, 1'000'000'000);
-      if (!capacity) {
-        err << "serve: invalid --cache-capacity '" << args[i + 1] << "' (>= 1)\n";
-        return 2;
-      }
-      cache_capacity = static_cast<std::size_t>(*capacity);
-      ++i;
-    } else if (args[i] == "--cache-shards" && has_value) {
-      const auto shards = parse_flag_int(args[i + 1], 1, 4096);
-      if (!shards) {
-        err << "serve: invalid --cache-shards '" << args[i + 1] << "' (1..4096)\n";
-        return 2;
-      }
-      cache_shards = static_cast<std::size_t>(*shards);
-      ++i;
-    } else if (args[i] == "--cache-dir" && has_value) {
-      cache_dir = args[i + 1];
-      if (cache_dir.empty()) {
-        err << "serve: invalid --cache-dir '' (non-empty path)\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--io-timeout-ms" && has_value) {
-      const auto timeout = parse_flag_int(args[i + 1], 0, 3'600'000);
-      if (!timeout) {
-        err << "serve: invalid --io-timeout-ms '" << args[i + 1]
-            << "' (0..3600000; 0 disables)\n";
-        return 2;
-      }
-      server_options.io_timeout_ms = static_cast<int>(*timeout);
-      ++i;
-    } else if (args[i] == "--idle-timeout-ms" && has_value) {
-      const auto timeout = parse_flag_int(args[i + 1], 0, 86'400'000);
-      if (!timeout) {
-        err << "serve: invalid --idle-timeout-ms '" << args[i + 1]
-            << "' (0..86400000; 0 disables)\n";
-        return 2;
-      }
-      server_options.idle_timeout_ms = static_cast<int>(*timeout);
-      ++i;
-    } else if (args[i] == "--max-connections" && has_value) {
-      const auto limit = parse_flag_int(args[i + 1], 1, 65536);
-      if (!limit) {
-        err << "serve: invalid --max-connections '" << args[i + 1] << "' (>= 1)\n";
-        return 2;
-      }
-      server_options.max_connections = static_cast<int>(*limit);
-      ++i;
-    } else {
-      err << "serve: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
+  server_options.port =
+      static_cast<int>(number("--port", 8080, 0, 65535, "0..65535; 0 = ephemeral"));
+  server_options.host = args.last("--host").value_or(server_options.host);
+  const auto cache_capacity = static_cast<std::size_t>(
+      number("--cache-capacity", 1024, 1, 1'000'000'000, ">= 1"));
+  const auto cache_shards =
+      static_cast<std::size_t>(number("--cache-shards", 8, 1, 4096, "1..4096"));
+  server_options.io_timeout_ms = static_cast<int>(number(
+      "--io-timeout-ms", server_options.io_timeout_ms, 0, 3'600'000, "0..3600000; 0 disables"));
+  server_options.idle_timeout_ms =
+      static_cast<int>(number("--idle-timeout-ms", server_options.idle_timeout_ms, 0,
+                              86'400'000, "0..86400000; 0 disables"));
+  server_options.max_connections = static_cast<int>(
+      number("--max-connections", server_options.max_connections, 1, 65536, ">= 1"));
+  const std::string cache_dir = args.last("--cache-dir").value_or("");
+  if (args.has("--cache-dir") && cache_dir.empty()) {
+    throw CliError("serve: invalid --cache-dir '' (non-empty path)");
   }
   std::optional<serve::ServeContext> serve_context;
   try {
     serve_context.emplace(scenario::EngineOptions{.threads = context.threads},
                           cache_capacity, cache_shards, cache_dir);
   } catch (const std::runtime_error& error) {
-    err << "serve: " << error.what() << "\n";
-    return 2;
+    throw CliError("serve: " + std::string(error.what()));
   }
   serve::Server server(serve::make_router(*serve_context), server_options);
   server.start();
@@ -387,8 +531,6 @@ int run_serve(const CommandContext& context, const std::vector<std::string>& arg
   server.wait();
   return 0;
 }
-
-namespace {
 
 /// Loads the baseline artifacts named by one `--compare` operand: a
 /// single artifact file, or every `BENCH_*.json` directly inside a
@@ -415,51 +557,18 @@ std::vector<bench::BenchArtifact> load_baselines(const std::string& target) {
   return baselines;
 }
 
-}  // namespace
-
-int run_bench(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err) {
-  std::optional<std::string> filter;
-  bool quick = false;
-  bool list = false;
-  std::optional<std::string> out_path;
-  std::vector<std::string> compare_paths;
-  std::optional<double> max_regression;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--filter" && has_value) {
-      filter = args[i + 1];
-      ++i;
-    } else if (args[i] == "--quick") {
-      quick = true;
-    } else if (args[i] == "--list") {
-      list = true;
-    } else if (args[i] == "--out" && has_value) {
-      out_path = args[i + 1];
-      ++i;
-    } else if (args[i] == "--compare" && has_value) {
-      compare_paths.push_back(args[i + 1]);
-      ++i;
-    } else if (args[i] == "--max-regression" && has_value) {
-      char* end = nullptr;
-      errno = 0;
-      const double parsed = std::strtod(args[i + 1].c_str(), &end);
-      if (args[i + 1].empty() || end != args[i + 1].c_str() + args[i + 1].size() ||
-          errno == ERANGE || !(parsed > 0.0)) {
-        err << "bench: invalid --max-regression '" << args[i + 1]
-            << "' (a factor > 0, e.g. 10)\n";
-        return 2;
-      }
-      max_regression = parsed;
-      ++i;
-    } else {
-      err << "bench: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  if (max_regression && compare_paths.empty()) {
-    err << "bench: --max-regression requires --compare\n";
-    return 2;
+int run_bench(const CommandContext& context, const Args& args, std::ostream& out,
+              std::ostream& err) {
+  expect_positionals("bench", args, 0, "");
+  const std::optional<std::string> filter = args.last("--filter");
+  const bool quick = args.has("--quick");
+  const std::optional<std::string> out_path = args.last("--out");
+  const std::vector<std::string> compare_paths = args.values("--compare");
+  const double limit = number_flag("bench", args, "--max-regression", 10.0,
+                                   std::numeric_limits<double>::denorm_min(),
+                                   std::numeric_limits<double>::max(), "a factor > 0, e.g. 10");
+  if (args.has("--max-regression") && compare_paths.empty()) {
+    throw CliError("bench: --max-regression requires --compare");
   }
 
   std::optional<std::regex> filter_re;
@@ -467,9 +576,7 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
     try {
       filter_re.emplace(*filter);
     } catch (const std::regex_error& error) {
-      err << "bench: invalid --filter regex '" << *filter << "': " << error.what()
-          << "\n";
-      return 2;
+      throw CliError("bench: invalid --filter regex '" + *filter + "': " + error.what());
     }
   }
   const auto matches = [&filter_re](const std::string& id) {
@@ -482,15 +589,14 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
       cases.push_back(std::move(bench_case));
     }
   }
-  if (list) {
+  if (args.has("--list")) {
     for (const bench::BenchCase& bench_case : cases) {
       out << bench_case.id() << "\n    " << bench_case.description << "\n";
     }
     return 0;
   }
   if (cases.empty()) {
-    err << "bench: no cases match --filter '" << filter.value_or("") << "'\n";
-    return 2;
+    throw CliError("bench: no cases match --filter '" + filter.value_or("") + "'");
   }
 
   const bench::BenchOptions options =
@@ -531,10 +637,10 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
   frame.set_meta("build_type", environment.build_type);
   frame.set_meta("cores", std::to_string(environment.cores));
   const std::vector<report::ResultFrame> frames{std::move(frame)};
-  const int code = emit_frames(context, frames, out, err);
-  if (code != 0) {
-    return code;
-  }
+  emit(
+      context,
+      [&](std::ostream& stream) { report::render_frames(frames, context.format, stream); },
+      out);
 
   const std::vector<bench::BenchArtifact> artifacts =
       bench::artifacts_from_results(results, environment);
@@ -542,10 +648,9 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
     namespace fs = std::filesystem;
     if (out_path->ends_with(".json")) {
       if (artifacts.size() != 1) {
-        err << "bench: --out '" << *out_path << "' names a single file but "
-            << artifacts.size()
-            << " case groups ran; pass a directory or narrow --filter\n";
-        return 2;
+        throw CliError("bench: --out '" + *out_path + "' names a single file but " +
+                       std::to_string(artifacts.size()) +
+                       " case groups ran; pass a directory or narrow --filter");
       }
       bench::write_artifact_file(*out_path, artifacts.front());
       out << "wrote " << *out_path << "\n";
@@ -569,13 +674,11 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
   // baseline cases exactly as to the run, so a filtered run never reports
   // deliberately-skipped cases as missing.  Within a compared group,
   // a baseline case absent from the run is a failure.
-  const double limit = max_regression.value_or(10.0);
   std::vector<bench::BenchArtifact> baselines;
   for (const std::string& target : compare_paths) {
     std::vector<bench::BenchArtifact> loaded = load_baselines(target);
     if (loaded.empty()) {
-      err << "bench: no BENCH_*.json baselines found in '" << target << "'\n";
-      return 2;
+      throw CliError("bench: no BENCH_*.json baselines found in '" + target + "'");
     }
     baselines.insert(baselines.end(), std::make_move_iterator(loaded.begin()),
                      std::make_move_iterator(loaded.end()));
@@ -640,268 +743,10 @@ int run_bench(const CommandContext& context, const std::vector<std::string>& arg
   return 0;
 }
 
-int run_frontier(const CommandContext& context, const std::vector<std::string>& args,
-                 std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "frontier: expected <dnn|imgproc|crypto> [--platforms a,b,...] [--axes x,y]"
-           " [--objective total|embodied|operational] [--samples N] [--seed S]"
-           " [--json <out.json>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "frontier: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::frontier, *domain);
-  std::vector<std::string> platforms{"asic", "fpga", "gpu", "cpu"};
-  std::optional<std::string> json_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--platforms" && has_value) {
-      platforms = split_csv(args[i + 1]);
-      if (platforms.size() < 2) {
-        err << "frontier: --platforms needs at least two comma-separated names\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--axes" && has_value) {
-      spec.frontier.axes.clear();
-      for (const std::string& name : split_csv(args[i + 1])) {
-        const auto axis = frontier_axis_preset(name);
-        if (!axis) {
-          err << "frontier: unknown axis '" << name
-              << "' (apps, lifetime, volume, node)\n";
-          return 2;
-        }
-        spec.frontier.axes.push_back(*axis);
-      }
-      ++i;
-    } else if (args[i] == "--objective" && has_value) {
-      const auto objective = dse::parse_frontier_objective(args[i + 1]);
-      if (!objective) {
-        err << "frontier: unknown --objective '" << args[i + 1]
-            << "' (total, embodied, operational)\n";
-        return 2;
-      }
-      spec.frontier.objective = *objective;
-      ++i;
-    } else if (args[i] == "--samples" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["samples"] = io::parse_json(args[i + 1]);
-        spec.frontier.confidence_samples =
-            static_cast<int>(core::int_field_or(value, "samples", 0, 0, 1'000'000));
-      } catch (const std::exception& error) {
-        err << "frontier: invalid --samples '" << args[i + 1] << "': " << error.what()
-            << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["seed"] = io::parse_json(args[i + 1]);
-        spec.frontier.seed =
-            static_cast<unsigned>(core::int_field_or(value, "seed", 0, 0, 4294967295LL));
-      } catch (const std::exception& error) {
-        err << "frontier: invalid --seed '" << args[i + 1] << "': " << error.what()
-            << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else {
-      err << "frontier: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  spec.platforms.clear();
-  std::string joined;
-  for (const std::string& name : platforms) {
-    spec.platforms.push_back(scenario::PlatformRef{.name = name, .chip = std::nullopt});
-    joined += (joined.empty() ? "" : " vs ") + name;
-  }
-  spec.name = to_string(*domain) + " platform frontier: " + joined;
-  return run_and_emit(context, spec, json_out, std::nullopt, out, err);
-}
-
-int run_mc(const CommandContext& context, const std::vector<std::string>& args,
-          std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "mc: expected <domain> [--samples N] [--seed S] [--csv <out.csv>] "
-           "[--json <out.json>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "mc: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::montecarlo, *domain);
-  spec.name = to_string(*domain) + " Monte-Carlo uncertainty";
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--samples" && has_value) {
-      // Same strict range-guarded read as the JSON path: int_field_or
-      // rejects junk instead of silently truncating.
-      io::Json value = io::Json::object();
-      try {
-        value["samples"] = io::parse_json(args[i + 1]);
-        spec.montecarlo.samples = static_cast<int>(
-            core::int_field_or(value, "samples", 0, 1, 10'000'000));
-      } catch (const std::exception& error) {
-        err << "mc: invalid --samples '" << args[i + 1] << "': " << error.what() << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      io::Json value = io::Json::object();
-      try {
-        value["seed"] = io::parse_json(args[i + 1]);
-        spec.montecarlo.seed = static_cast<unsigned>(
-            core::int_field_or(value, "seed", 0, 0, 4294967295LL));
-      } catch (const std::exception& error) {
-        err << "mc: invalid --seed '" << args[i + 1] << "': " << error.what() << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--csv" && has_value) {
-      csv_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else {
-      err << "mc: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
-}
-
-int run_fleet(const CommandContext& context, const std::vector<std::string>& args,
-              std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "fleet: expected <dnn|imgproc|crypto> [--platforms a,b,...] [--horizon Y]"
-           " [--utilization U] [--samples N] [--seed S] [--json <out.json>]"
-           " [--csv <out.csv>]\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "fleet: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::fleet, *domain);
-  scenario::FleetSpec& fleet = *spec.fleet;
-  std::optional<std::string> json_out;
-  std::optional<std::string> csv_out;
-  const auto parse_flag_double = [](const std::string& value) -> std::optional<double> {
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
-      return std::nullopt;
-    }
-    return parsed;
-  };
-  std::vector<std::string> platforms;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const bool has_value = i + 1 < args.size();
-    if (args[i] == "--platforms" && has_value) {
-      platforms = split_csv(args[i + 1]);
-      if (platforms.size() < 2) {
-        err << "fleet: --platforms needs at least two comma-separated names\n";
-        return 2;
-      }
-      ++i;
-    } else if (args[i] == "--horizon" && has_value) {
-      const auto horizon = parse_flag_double(args[i + 1]);
-      if (!horizon || !(*horizon > 0.0)) {
-        err << "fleet: invalid --horizon '" << args[i + 1] << "' (years > 0)\n";
-        return 2;
-      }
-      fleet.horizon_years = *horizon;
-      ++i;
-    } else if (args[i] == "--utilization" && has_value) {
-      const auto utilization = parse_flag_double(args[i + 1]);
-      if (!utilization || !(*utilization > 0.0) || !(*utilization <= 1.0)) {
-        err << "fleet: invalid --utilization '" << args[i + 1] << "' (0 < U <= 1)\n";
-        return 2;
-      }
-      fleet.utilization = *utilization;
-      ++i;
-    } else if (args[i] == "--samples" && has_value) {
-      const auto samples = parse_flag_int(args[i + 1], 0, 10'000'000);
-      if (!samples) {
-        err << "fleet: invalid --samples '" << args[i + 1] << "' (0..10000000)\n";
-        return 2;
-      }
-      fleet.mc_samples = static_cast<int>(*samples);
-      ++i;
-    } else if (args[i] == "--seed" && has_value) {
-      const auto seed = parse_flag_int(args[i + 1], 0, 4294967295LL);
-      if (!seed) {
-        err << "fleet: invalid --seed '" << args[i + 1] << "' (0..4294967295)\n";
-        return 2;
-      }
-      spec.montecarlo.seed = static_cast<unsigned>(*seed);
-      ++i;
-    } else if (args[i] == "--json" && has_value) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--csv" && has_value) {
-      csv_out = args[i + 1];
-      ++i;
-    } else {
-      err << "fleet: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-  if (csv_out && fleet.mc_samples <= 0) {
-    err << "fleet: --csv exports Monte-Carlo samples; pass --samples N (> 0)\n";
-    return 2;
-  }
-  std::string joined;
-  for (const std::string& name : platforms) {
-    spec.platforms.push_back(scenario::PlatformRef{.name = name, .chip = std::nullopt});
-    joined += (joined.empty() ? "" : " + ") + name;
-  }
-  spec.name = to_string(*domain) + " datacenter fleet" +
-              (joined.empty() ? std::string() : ": " + joined);
-  return run_and_emit(context, spec, json_out, csv_out, out, err);
-}
-
-int run_compare(const CommandContext& context, const std::vector<std::string>& args,
-               std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "compare: missing scenario file\n";
-    return 2;
-  }
-  std::optional<std::string> json_out;
-  std::optional<std::string> markdown_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--json" && i + 1 < args.size()) {
-      json_out = args[i + 1];
-      ++i;
-    } else if (args[i] == "--markdown" && i + 1 < args.size()) {
-      markdown_out = args[i + 1];
-      ++i;
-    } else {
-      err << "compare: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-
-  const core::ScenarioConfig scenario = core::load_scenario(args[0]);
+int run_compare(const CommandContext& context, const Args& args, std::ostream& out,
+                std::ostream& /*err*/) {
+  expect_positionals("compare", args, 1, "missing scenario file");
+  const core::ScenarioConfig scenario = core::load_scenario(args.positional[0]);
   scenario::ScenarioSpec spec;
   spec.name = scenario.name;
   spec.kind = scenario::ScenarioKind::compare;
@@ -912,10 +757,9 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
   const scenario::ScenarioResult result = make_engine(context).run(spec);
   const core::Comparison comparison = result.comparison();
 
-  int code;
   if (context.format == report::OutputFormat::text) {
     // The classic component-stack view plus the verdict line.
-    code = emit(
+    emit(
         context,
         [&](std::ostream& stream) {
           stream << "== " << scenario.name << " ==\n";
@@ -927,25 +771,21 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
                  << units::format_significant(comparison.ratio(), 4)
                  << " -> greener platform: " << to_string(comparison.verdict()) << "\n\n";
         },
-        out, err);
+        out);
   } else {
-    code = emit_result(context, result, out, err);
-  }
-  if (code != 0) {
-    return code;
+    emit_result(context, result, out);
   }
 
-  if (json_out) {
+  if (const std::optional<std::string> path = args.last("--json")) {
     io::Json report = io::Json::object();
     report["scenario"] = scenario.name;
     report["asic"] = core::to_json(comparison.asic);
     report["fpga"] = core::to_json(comparison.fpga);
     report["ratio"] = comparison.ratio();
     report["greener"] = to_string(comparison.verdict());
-    io::write_json_file(*json_out, report);
-    out << "wrote " << *json_out << "\n";
+    write_output("--json", *path, json_render(std::move(report)), out);
   }
-  if (markdown_out) {
+  if (const std::optional<std::string> path = args.last("--markdown")) {
     report::MarkdownReportInputs inputs;
     inputs.scenario = scenario;
     inputs.comparison = comparison;
@@ -955,51 +795,17 @@ int run_compare(const CommandContext& context, const std::vector<std::string>& a
                                                      .asic = scenario.asic,
                                                      .fpga = scenario.fpga},
                               scenario.schedule, scenario::table1_ranges(), 128);
-    std::ofstream file(*markdown_out);
-    if (!file) {
-      err << "compare: cannot write '" << *markdown_out << "'\n";
-      return 1;
-    }
-    file << report::render_markdown_report(inputs);
-    out << "wrote " << *markdown_out << "\n";
+    write_output(
+        "--markdown", *path,
+        [&inputs](std::ostream& stream) { stream << report::render_markdown_report(inputs); },
+        out);
   }
   return 0;
 }
 
-int run_sweep(const CommandContext& context, const std::vector<std::string>& args,
-             std::ostream& out, std::ostream& err) {
-  if (args.size() != 2) {
-    err << "sweep: expected <domain> <variable>\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "sweep: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::sweep, *domain);
-  if (args[1] == "apps") {
-    spec.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 12, 12)};
-  } else if (args[1] == "lifetime") {
-    spec.axes = {
-        scenario::AxisSpec::linear(scenario::SweepVariable::lifetime_years, 0.2, 2.5, 24)};
-  } else if (args[1] == "volume") {
-    spec.axes = {scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 25)};
-  } else {
-    err << "sweep: unknown variable '" << args[1] << "'\n";
-    return 2;
-  }
-  spec.name = to_string(*domain) + " sweep over " + spec.axes.front().label();
-  return emit_result(context, make_engine(context).run(spec), out, err);
-}
-
-int run_industry(const CommandContext& context, const std::vector<std::string>& args,
-                 std::ostream& out, std::ostream& err) {
-  if (!args.empty()) {
-    err << "industry: unexpected argument '" << args.front() << "'\n";
-    return 2;
-  }
+int run_industry(const CommandContext& context, const Args& args, std::ostream& out,
+                 std::ostream& /*err*/) {
+  expect_positionals("industry", args, 0, "");
   const core::LifecycleModel model(core::industry_suite());
 
   // Fig. 10 setup: each FPGA runs 6 years / 3 applications / 1M volume.
@@ -1025,7 +831,7 @@ int run_industry(const CommandContext& context, const std::vector<std::string>& 
   }
   const std::vector<report::ResultFrame> frames{
       report::breakdown_frame("industry", rows)};
-  return emit(
+  emit(
       context,
       [&](std::ostream& stream) {
         if (context.format == report::OutputFormat::text) {
@@ -1036,33 +842,13 @@ int run_industry(const CommandContext& context, const std::vector<std::string>& 
           report::render_frames(frames, context.format, stream);
         }
       },
-      out, err);
+      out);
+  return 0;
 }
 
-int run_nodes(const CommandContext& context, const std::vector<std::string>& args,
-             std::ostream& out, std::ostream& err) {
-  if (args.size() != 1) {
-    err << "nodes: expected <domain>\n";
-    return 2;
-  }
-  const auto domain = parse_domain(args[0]);
-  if (!domain) {
-    err << "nodes: unknown domain '" << args[0] << "'\n";
-    return 2;
-  }
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::node_dse, *domain);
-  spec.name = "node ranking for the " + to_string(*domain) +
-              " FPGA (paper schedule: 5 apps x 2 y x 1M)";
-  return emit_result(context, make_engine(context).run(spec), out, err);
-}
-
-int run_figures(const CommandContext& context, const std::vector<std::string>& args,
-                std::ostream& out, std::ostream& err) {
-  if (!args.empty()) {
-    err << "figures: unexpected argument '" << args.front() << "'\n";
-    return 2;
-  }
+int run_figures(const CommandContext& context, const Args& args, std::ostream& out,
+                std::ostream& /*err*/) {
+  expect_positionals("figures", args, 0, "");
   const scenario::Engine engine = make_engine(context);
   const auto sweep_series = [&](device::Domain domain, scenario::AxisSpec axis) {
     scenario::ScenarioSpec spec =
@@ -1123,7 +909,7 @@ int run_figures(const CommandContext& context, const std::vector<std::string>& a
                  report::Cell(units::format_significant(100.0 * (1.0 - fig2), 4) + " %")});
 
   const std::vector<report::ResultFrame> frames{std::move(frame)};
-  return emit(
+  emit(
       context,
       [&](std::ostream& stream) {
         if (context.format == report::OutputFormat::text) {
@@ -1132,20 +918,17 @@ int run_figures(const CommandContext& context, const std::vector<std::string>& a
         }
         report::render_frames(frames, context.format, stream);
       },
-      out, err);
+      out);
+  return 0;
 }
 
-int run_dump_config(const CommandContext& context, const std::vector<std::string>& args,
-                    std::ostream& out, std::ostream& err) {
-  if (!args.empty()) {
-    err << "dump-config: unexpected argument '" << args.front() << "'\n";
-    return 2;
-  }
+int run_dump_config(const CommandContext& context, const Args& args, std::ostream& out,
+                    std::ostream& /*err*/) {
+  expect_positionals("dump-config", args, 0, "");
   if (context.format != report::OutputFormat::text &&
       context.format != report::OutputFormat::json) {
-    err << "dump-config: --format " << to_string(context.format)
-        << " not supported (the dump is JSON; use text or json)\n";
-    return 2;
+    throw CliError("dump-config: --format " + to_string(context.format) +
+                   " not supported (the dump is JSON; use text or json)");
   }
   io::Json scenario = io::Json::object();
   scenario["name"] = "example scenario (edit me)";
@@ -1154,34 +937,15 @@ int run_dump_config(const CommandContext& context, const std::vector<std::string
   scenario["asic"] = core::to_json(testcase.asic);
   scenario["fpga"] = core::to_json(testcase.fpga);
   scenario["schedule"] = core::to_json(core::paper_schedule(device::Domain::dnn));
-  return emit(context,
-              [&](std::ostream& stream) {
-                std::string text;
-                scenario.dump_to(text);
-                text.push_back('\n');
-                stream << text;
-              },
-              out, err);
+  emit(context, json_render(std::move(scenario)), out);
+  return 0;
 }
 
-int run_batch(const CommandContext& context, const std::vector<std::string>& args,
-             std::ostream& out, std::ostream& err) {
-  if (args.empty()) {
-    err << "batch: expected <manifest.json|directory> [--validate]\n";
-    return 2;
-  }
-  bool validate = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--validate") {
-      validate = true;
-    } else {
-      err << "batch: unknown argument '" << args[i] << "'\n";
-      return 2;
-    }
-  }
-
+int run_batch(const CommandContext& context, const Args& args, std::ostream& out,
+              std::ostream& /*err*/) {
+  expect_positionals("batch", args, 1, "expected <manifest.json|directory> [--validate]");
   namespace fs = std::filesystem;
-  const fs::path target(args[0]);
+  const fs::path target(args.positional[0]);
 
   // Collect and parse the spec files (parse errors name the offending
   // file): every *.json in a directory -- each read once; manifests,
@@ -1217,8 +981,7 @@ int run_batch(const CommandContext& context, const std::vector<std::string>& arg
     }
   }
   if (spec_paths.empty()) {
-    err << "batch: no scenario specs found in '" << args[0] << "'\n";
-    return 2;
+    throw CliError("batch: no scenario specs found in '" + args.positional[0] + "'");
   }
 
   const std::vector<scenario::ScenarioResult> results =
@@ -1246,7 +1009,7 @@ int run_batch(const CommandContext& context, const std::vector<std::string>& arg
                         scenario::result_to_json(results[i]));
   }
 
-  if (validate) {
+  if (args.has("--validate")) {
     for (const std::string& filename : filenames) {
       const std::string path = (fs::path(out_dir) / filename).string();
       const io::Json written = io::parse_json_file(path);
@@ -1259,8 +1022,7 @@ int run_batch(const CommandContext& context, const std::vector<std::string>& arg
       std::string reserialized_text;
       reserialized.dump_to(reserialized_text, 0);
       if (written_text != reserialized_text) {
-        err << "batch: result '" << path << "' failed the canonical round-trip\n";
-        return 1;
+        throw CliError("batch: result '" + path + "' failed the canonical round-trip", 1);
       }
     }
   }
@@ -1311,108 +1073,178 @@ int run_batch(const CommandContext& context, const std::vector<std::string>& arg
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// The command table
+// ---------------------------------------------------------------------------
+
+// Axis presets (an omitted "scale" is linear); custom ranges go through
+// `greenfpga run`.
+constexpr Preset kSweepAxes[] = {
+    {"apps", R"({"variable": "app_count", "from": 1, "to": 12, "count": 12})"},
+    {"lifetime", R"({"variable": "lifetime_years", "from": 0.2, "to": 2.5, "count": 24})"},
+    {"volume", R"({"variable": "volume", "scale": "log", "from": 1e3, "to": 1e7, "count": 25})"},
+};
+constexpr Preset kFrontierAxes[] = {
+    {"apps", R"({"variable": "app_count", "from": 1, "to": 10, "count": 10})"},
+    {"lifetime", R"({"variable": "lifetime_years", "from": 0.5, "to": 8, "count": 10})"},
+    {"volume", R"({"variable": "volume", "scale": "log", "from": 1e4, "to": 1e7, "count": 10})"},
+    {"node", R"({"variable": "node"})"},
+};
+
+constexpr Flag kSweepPositionals[] = {
+    {.name = "variable", .path = "axes", .list = true, .presets = kSweepAxes},
+};
+
+constexpr Flag kMcFlags[] = {
+    {.name = "--samples", .path = "montecarlo.samples"},
+    {.name = "--seed", .path = "montecarlo.seed"},
+    {.name = "--csv"},
+    {.name = "--json"},
+};
+
+constexpr Flag kFleetFlags[] = {
+    {.name = "--platforms", .path = "platforms", .list = true},
+    {.name = "--horizon", .path = "fleet.horizon_years"},
+    {.name = "--utilization", .path = "fleet.utilization"},
+    {.name = "--samples", .path = "fleet.mc_samples"},
+    {.name = "--seed", .path = "montecarlo.seed"},
+    {.name = "--json"},
+    {.name = "--csv"},
+};
+
+constexpr Flag kFrontierFlags[] = {
+    {.name = "--platforms", .path = "platforms", .list = true},
+    {.name = "--axes", .path = "frontier.axes", .list = true, .presets = kFrontierAxes},
+    {.name = "--objective", .path = "frontier.objective"},
+    {.name = "--samples", .path = "frontier.confidence_samples"},
+    {.name = "--seed", .path = "frontier.seed"},
+    {.name = "--json"},
+};
+
+constexpr Flag kGlobalFlags[] = {{"--threads"}, {"--format"}, {"--output"}};
+constexpr Flag kRunFlags[] = {{"--json"}, {"--csv"}};
+constexpr Flag kServeFlags[] = {
+    {"--port"},      {"--host"},            {"--cache-capacity"}, {"--cache-shards"},
+    {"--cache-dir"}, {"--max-connections"}, {"--io-timeout-ms"},  {"--idle-timeout-ms"},
+};
+constexpr Flag kBatchFlags[] = {{.name = "--validate", .takes_value = false}};
+constexpr Flag kBenchFlags[] = {
+    {"--filter"},
+    {.name = "--quick", .takes_value = false},
+    {.name = "--list", .takes_value = false},
+    {"--out"},
+    {"--compare"},
+    {"--max-regression"},
+};
+constexpr Flag kCompareFlags[] = {{"--json"}, {"--markdown"}};
+
+const Command kCommands[] = {
+    {.name = "run", .flags = kRunFlags, .run = run_spec},
+    {.name = "serve", .flags = kServeFlags, .run = run_serve},
+    {.name = "batch", .flags = kBatchFlags, .run = run_batch},
+    {.name = "bench", .flags = kBenchFlags, .run = run_bench},
+    {.name = "frontier",
+     .flags = kFrontierFlags,
+     .kind = "frontier",
+     .base = R"({"platforms": ["asic", "fpga", "gpu", "cpu"]})",
+     .title = [](const std::string& domain, const io::Json& spec) {
+       return domain + " platform frontier: " + joined_platforms(spec, " vs ");
+     }},
+    {.name = "mc",
+     .flags = kMcFlags,
+     .kind = "montecarlo",
+     .title = [](const std::string& domain, const io::Json&) {
+       return domain + " Monte-Carlo uncertainty";
+     }},
+    {.name = "fleet",
+     .flags = kFleetFlags,
+     .kind = "fleet",
+     .title = [](const std::string& domain, const io::Json& spec) {
+       const std::string platforms = joined_platforms(spec, " + ");
+       return domain + " datacenter fleet" + (platforms.empty() ? "" : ": " + platforms);
+     }},
+    {.name = "compare", .flags = kCompareFlags, .run = run_compare},
+    {.name = "sweep",
+     .kind = "sweep",
+     .positionals = kSweepPositionals,
+     .title = [](const std::string& domain, const io::Json& spec) {
+       const auto variable =
+           scenario::parse_sweep_variable(spec.at("axes").at(0).at("variable").as_string());
+       return domain + " sweep over " + scenario::AxisSpec::list(*variable, {}).label();
+     }},
+    {.name = "industry", .run = run_industry},
+    {.name = "nodes",
+     .kind = "node_dse",
+     .title = [](const std::string& domain, const io::Json&) {
+       return "node ranking for the " + domain + " FPGA (paper schedule: 5 apps x 2 y x 1M)";
+     }},
+    {.name = "figures", .run = run_figures},
+    {.name = "dump-config", .run = run_dump_config},
+};
+
+const Command* find_command(std::string_view name) {
+  const auto command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                    [name](const Command& each) { return each.name == name; });
+  return command == std::end(kCommands) ? nullptr : &*command;
+}
+
+}  // namespace
+
+std::optional<std::vector<std::string>> command_flags(std::string_view command) {
+  std::span<const Flag> table = kGlobalFlags;
+  if (!command.empty()) {
+    const Command* found = find_command(command);
+    if (found == nullptr) {
+      return std::nullopt;
+    }
+    table = found->flags;
+  }
+  std::vector<std::string> names;
+  for (const Flag& flag : table) {
+    names.emplace_back(flag.name);
+  }
+  return names;
+}
+
 int dispatch(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  // Strip the global flags (valid anywhere before/after the command name)
-  // into the context handed to the command body.
-  CommandContext context;
-  std::vector<std::string> rest;
-  rest.reserve(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--threads") {
-      if (i + 1 >= args.size()) {
-        err << "--threads: missing worker count\n";
-        return 2;
-      }
-      // Strict parse (trailing garbage and overflow rejected), same rules
-      // as the GREENFPGA_THREADS environment path; the engine clamps to
-      // its kMaxThreads pool bound.
-      const std::string& value = args[i + 1];
-      char* end = nullptr;
-      errno = 0;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
-          parsed < 1) {
-        err << "--threads: invalid worker count '" << value << "'\n";
-        return 2;
-      }
-      context.threads = static_cast<int>(
-          std::min<long>(parsed, scenario::Engine::kMaxThreads));
-      ++i;
-    } else if (args[i] == "--format") {
-      if (i + 1 >= args.size()) {
-        err << "--format: missing format (text, json, csv, md)\n";
-        return 2;
-      }
-      const auto format = report::parse_output_format(args[i + 1]);
+  try {
+    // The global flags are valid anywhere before/after the command name.
+    const Args global = parse_flags("greenfpga", args, kGlobalFlags, /*pass_unknown=*/true);
+    CommandContext context;
+    // Same strict rules as the GREENFPGA_THREADS environment path; the
+    // engine clamps to its kMaxThreads pool bound (0 = that default).
+    context.threads = static_cast<int>(
+        std::min<long>(number_flag("greenfpga", global, "--threads", 0L, 1L, LONG_MAX,
+                                   "a worker count >= 1"),
+                       scenario::Engine::kMaxThreads));
+    if (const std::optional<std::string> text = global.last("--format")) {
+      const auto format = report::parse_output_format(*text);
       if (!format) {
-        err << "--format: unknown format '" << args[i + 1]
-            << "' (text, json, csv, md)\n";
-        return 2;
+        throw CliError("--format: unknown format '" + *text + "' (text, json, csv, md)");
       }
       context.format = *format;
-      ++i;
-    } else if (args[i] == "--output") {
-      if (i + 1 >= args.size()) {
-        err << "--output: missing path\n";
-        return 2;
-      }
-      context.output = args[i + 1];
-      ++i;
-    } else {
-      rest.push_back(args[i]);
     }
-  }
+    context.output = global.last("--output");
 
-  if (rest.empty()) {
-    return print_usage(err);
-  }
-  if (rest[0] == "--help" || rest[0] == "-h" || rest[0] == "help") {
-    return print_usage(out, /*error=*/false);
-  }
-  try {
-    const std::string command = rest[0];
-    rest.erase(rest.begin());
-    if (command == "run") {
-      return run_spec(context, rest, out, err);
+    const std::vector<std::string>& rest = global.positional;
+    if (rest.empty()) {
+      return print_usage(err);
     }
-    if (command == "serve") {
-      return run_serve(context, rest, out, err);
+    if (rest[0] == "--help" || rest[0] == "-h" || rest[0] == "help") {
+      return print_usage(out, /*error=*/false);
     }
-    if (command == "batch") {
-      return run_batch(context, rest, out, err);
+    const Command* command = find_command(rest[0]);
+    if (command == nullptr) {
+      err << "unknown command '" << rest[0] << "'\n";
+      return print_usage(err);
     }
-    if (command == "bench") {
-      return run_bench(context, rest, out, err);
-    }
-    if (command == "frontier") {
-      return run_frontier(context, rest, out, err);
-    }
-    if (command == "mc") {
-      return run_mc(context, rest, out, err);
-    }
-    if (command == "fleet") {
-      return run_fleet(context, rest, out, err);
-    }
-    if (command == "compare") {
-      return run_compare(context, rest, out, err);
-    }
-    if (command == "sweep") {
-      return run_sweep(context, rest, out, err);
-    }
-    if (command == "industry") {
-      return run_industry(context, rest, out, err);
-    }
-    if (command == "nodes") {
-      return run_nodes(context, rest, out, err);
-    }
-    if (command == "figures") {
-      return run_figures(context, rest, out, err);
-    }
-    if (command == "dump-config") {
-      return run_dump_config(context, rest, out, err);
-    }
-    err << "unknown command '" << command << "'\n";
-    return print_usage(err);
+    const Args parsed = parse_flags(
+        command->name, std::vector<std::string>(rest.begin() + 1, rest.end()), command->flags);
+    return command->run != nullptr ? command->run(context, parsed, out, err)
+                                   : run_shorthand(*command, context, parsed, out);
+  } catch (const CliError& error) {
+    err << error.what() << "\n";
+    return error.code;
   } catch (const std::exception& error) {
     err << "error: " << error.what() << "\n";
     return 1;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "act/grid_profile.hpp"
@@ -99,8 +100,8 @@ void FleetSpec::validate(const std::string& scenario_name) const {
                                   "\" trace must reach a non-zero peak");
     }
   }
-  if (!(horizon_years > 0.0)) {
-    throw std::invalid_argument(prefix + "horizon_years must be positive");
+  if (!(horizon_years > 0.0) || !std::isfinite(horizon_years)) {
+    throw std::invalid_argument(prefix + "horizon_years must be positive and finite");
   }
   if (!(utilization > 0.0) || utilization > 1.0) {
     throw std::invalid_argument(prefix + "utilization must be in (0, 1]");

@@ -220,6 +220,11 @@ TEST(BenchCli, UsageErrors) {
                 .exit_code, 2);
   EXPECT_EQ(run_cli({"bench", "--compare", "x.json", "--max-regression", "0"})
                 .exit_code, 2);
+  // A non-finite factor would silently disable the regression gate.
+  EXPECT_EQ(run_cli({"bench", "--compare", "x.json", "--max-regression", "inf"})
+                .exit_code, 2);
+  EXPECT_EQ(run_cli({"bench", "--compare", "x.json", "--max-regression", "nan"})
+                .exit_code, 2);
   // Single-file --out with more than one group.
   const CliRun multi = run_cli({"bench", "--quick", "--filter", "^(json|cache)/",
                                 "--out", ::testing::TempDir() + "/multi.json"});

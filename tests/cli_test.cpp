@@ -6,6 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <optional>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "cli/commands.hpp"
@@ -398,6 +402,65 @@ TEST(Cli, OutputFlagFailuresNameThePath) {
             std::string::npos)
       << result.err;
   EXPECT_EQ(run_cli({"sweep", "dnn", "apps", "--output"}).exit_code, 2);
+
+  // Every output-file flag shares the writer: --markdown under the same
+  // blocker fails naming its flag, and a missing parent is created.
+  const std::string scenario = write_scenario_file();
+  const CliRun blocked = run_cli({"compare", scenario, "--markdown", blocker + "/r.md"});
+  EXPECT_EQ(blocked.exit_code, 1);
+  EXPECT_NE(blocked.err.find("--markdown: cannot write '" + blocker + "/r.md'"),
+            std::string::npos)
+      << blocked.err;
+  const std::string nested = ::testing::TempDir() + "/greenfpga_cli_nested_md/a/b/r.md";
+  std::filesystem::remove_all(::testing::TempDir() + "/greenfpga_cli_nested_md");
+  EXPECT_EQ(run_cli({"compare", scenario, "--markdown", nested}).exit_code, 0);
+  EXPECT_TRUE(std::filesystem::exists(nested));
+}
+
+/// The `--flag`s spelled in one usage section.
+std::set<std::string> usage_flags(const std::string& section) {
+  std::set<std::string> flags;
+  const std::regex flag_re("--[a-z][a-z-]*");
+  for (auto it = std::sregex_iterator(section.begin(), section.end(), flag_re);
+       it != std::sregex_iterator(); ++it) {
+    flags.insert(it->str());
+  }
+  return flags;
+}
+
+TEST(Cli, UsageTextMatchesTheFlagTables) {
+  // Split --help into sections at each "  greenfpga <command>" line; the
+  // first ("greenfpga [--threads N] ...") is the global one.
+  std::map<std::string, std::string> sections;
+  std::string current;
+  std::istringstream usage(run_cli({"--help"}).out);
+  for (std::string line; std::getline(usage, line);) {
+    if (line.starts_with("  greenfpga ")) {
+      const std::string word = line.substr(12, line.find(' ', 12) - 12);
+      current = word.starts_with("[") ? "" : word;
+    }
+    sections[current] += line + "\n";
+  }
+  const std::optional<std::vector<std::string>> global = command_flags("");
+  ASSERT_TRUE(global.has_value());
+  const std::set<std::string> global_flags(global->begin(), global->end());
+  EXPECT_EQ(usage_flags(sections.at("")), global_flags);
+  EXPECT_GT(sections.size(), 10u);
+  for (const auto& [command, text] : sections) {
+    const std::optional<std::vector<std::string>> table = command_flags(command);
+    ASSERT_TRUE(table.has_value()) << "usage documents unknown command " << command;
+    const std::set<std::string> accepted(table->begin(), table->end());
+    // Every spelled flag parses (a section may mention a global flag) ...
+    for (const std::string& flag : usage_flags(text)) {
+      EXPECT_TRUE(accepted.contains(flag) || global_flags.contains(flag))
+          << command << " documents " << flag << " but does not accept it";
+    }
+    // ... and every accepted flag is documented.
+    for (const std::string& flag : accepted) {
+      EXPECT_TRUE(usage_flags(text).contains(flag))
+          << command << " accepts " << flag << " but --help does not show it";
+    }
+  }
 }
 
 TEST(Cli, OutputFlagWritesRenderedFile) {
@@ -619,7 +682,8 @@ TEST(Cli, ServeValidatesItsFlags) {
         std::vector<std::string>{"serve", "--port", "70000"},
         std::vector<std::string>{"serve", "--cache-capacity", "0"},
         std::vector<std::string>{"serve", "--max-connections", "-1"},
-        std::vector<std::string>{"serve", "--nope"}}) {
+        std::vector<std::string>{"serve", "--nope"},
+        std::vector<std::string>{"serve", "--port"}}) {
     const CliRun result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args[1];
     EXPECT_NE(result.err.find("serve:"), std::string::npos) << args[1];

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,6 +54,11 @@ TEST(FleetSpec, ValidationNamesTheOffendingField) {
   }
   spec = fleet_spec();
   spec.fleet->services.front().trace = {0.5, 0.5};  // not 24 entries
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // The JSON reader cannot carry inf; the C++ API can, and `!(inf > 0)`
+  // alone would let it through to inf totals and NaN ratios.
+  spec = fleet_spec();
+  spec.fleet->horizon_years = std::numeric_limits<double>::infinity();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
@@ -150,6 +156,9 @@ TEST(FleetCli, UsageErrorsNameTheFlag) {
   err.str("");
   EXPECT_EQ(cli::dispatch({"fleet", "dnn", "--utilization", "2"}, out, err), 2);
   EXPECT_NE(err.str().find("--utilization"), std::string::npos);
+  err.str("");
+  EXPECT_EQ(cli::dispatch({"fleet", "dnn", "--horizon", "inf"}, out, err), 2);
+  EXPECT_NE(err.str().find("--horizon"), std::string::npos);
   err.str("");
   // --csv needs sampling turned on.
   EXPECT_EQ(cli::dispatch({"fleet", "dnn", "--csv", "x.csv"}, out, err), 2);
