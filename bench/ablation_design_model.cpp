@@ -71,15 +71,6 @@ void print_reproduction() {
   print_crossover_shift();
 }
 
-void bm_design_eq4(benchmark::State& state) {
-  const core::DesignModel model(core::paper_suite().design);
-  const device::ChipSpec chip = device::industry_fpga1();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.design_carbon(chip));
-  }
-}
-BENCHMARK(bm_design_eq4);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -88,19 +88,6 @@ void print_reproduction() {
   print_warm_extremes();
 }
 
-void bm_recycling_eval(benchmark::State& state) {
-  core::ModelSuite suite = core::paper_suite();
-  suite.fab.recycled_material_fraction = 0.5;
-  suite.eol.recycled_fraction = 0.5;
-  const core::LifecycleModel model(suite);
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compare(model, testcase, schedule));
-  }
-}
-BENCHMARK(bm_recycling_eval);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -98,17 +98,6 @@ void print_reproduction() {
   print_crossovers();
 }
 
-void bm_yield_model_sweep(benchmark::State& state) {
-  const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  const scenario::ScenarioSpec spec = sweep_spec(
-      model, device::Domain::dnn, AxisSpec::linear(SweepVariable::app_count, 1, 12, 12));
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_yield_model_sweep)->DenseRange(0, 3);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

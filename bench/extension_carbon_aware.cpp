@@ -90,15 +90,6 @@ void print_reproduction() {
                "region well past the paper's 1.6-year crossover\n";
 }
 
-void bm_effective_multiplier(benchmark::State& state) {
-  const act::DailyProfile duck = act::DailyProfile::solar_duck();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        duck.effective_multiplier(0.25, act::DutySchedulingPolicy::carbon_aware));
-  }
-}
-BENCHMARK(bm_effective_multiplier);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

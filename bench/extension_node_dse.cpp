@@ -57,15 +57,6 @@ void print_reproduction() {
                "and trailing nodes drop out at the reticle limit\n";
 }
 
-void bm_node_dse(benchmark::State& state) {
-  const scenario::ScenarioSpec spec = node_spec(core::paper_suite());
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_node_dse);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -47,18 +47,6 @@ void print_reproduction() {
   std::cout << "paper: FPGA higher at 1 application; ~25 % lower at 10 applications\n";
 }
 
-void bm_fig2_point(benchmark::State& state) {
-  const core::LifecycleModel model(core::paper_suite());
-  const device::DomainTestcase testcase = device::domain_testcase(device::Domain::dnn);
-  const workload::Schedule schedule =
-      core::paper_schedule(device::Domain::dnn, static_cast<int>(state.range(0)),
-                           bench::kDefaults.app_lifetime, bench::kDefaults.app_volume);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compare(model, testcase, schedule));
-  }
-}
-BENCHMARK(bm_fig2_point)->Arg(1)->Arg(10);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

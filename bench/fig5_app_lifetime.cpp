@@ -47,19 +47,6 @@ void print_reproduction() {
   std::cout << "paper: Crypto always FPGA; ImgProc always ASIC; DNN F2A at ~1.6 years\n";
 }
 
-void bm_fig5_sweep(benchmark::State& state) {
-  const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::ScenarioSpec spec = domain_spec(domain);
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_fig5_sweep)
-    ->Arg(static_cast<int>(device::Domain::dnn))
-    ->Arg(static_cast<int>(device::Domain::imgproc))
-    ->Arg(static_cast<int>(device::Domain::crypto));
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

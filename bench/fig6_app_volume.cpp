@@ -48,19 +48,6 @@ void print_reproduction() {
   std::cout << "paper: Crypto always FPGA; F2A at ~300 K (ImgProc) and ~2 M (DNN)\n";
 }
 
-void bm_fig6_sweep(benchmark::State& state) {
-  const auto domain = static_cast<device::Domain>(state.range(0));
-  const scenario::ScenarioSpec spec = domain_spec(domain);
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_fig6_sweep)
-    ->Arg(static_cast<int>(device::Domain::dnn))
-    ->Arg(static_cast<int>(device::Domain::imgproc))
-    ->Arg(static_cast<int>(device::Domain::crypto));
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -64,16 +64,6 @@ void print_reproduction() {
                "       FPGA OC grows with T_i; EC dominates at low volume\n";
 }
 
-void bm_fig7_breakdowns(benchmark::State& state) {
-  const scenario::ScenarioSpec spec =
-      dnn_sweep(scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 8, 8));
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_fig7_breakdowns);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

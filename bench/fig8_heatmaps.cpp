@@ -85,17 +85,6 @@ void print_reproduction() {
   std::cout << "paper: FPGA region grows with N_app, shrinks with N_vol and T_i\n";
 }
 
-void bm_fig8_heatmap(benchmark::State& state) {
-  const scenario::ScenarioSpec spec =
-      dnn_grid(AxisSpec::list(SweepVariable::app_count, {1, 3, 5, 7}),
-               AxisSpec::linear(SweepVariable::lifetime_years, 0.5, 2.5, 5));
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_fig8_heatmap);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -71,15 +71,6 @@ void print_reproduction() {
   std::cout << "paper: FPGA jumps at 15/30 years; multiple crossovers for ImgProc only\n";
 }
 
-void bm_fig9_timeline(benchmark::State& state) {
-  const scenario::ScenarioSpec spec = paper_timeline(device::Domain::dnn);
-  const scenario::Engine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(spec));
-  }
-}
-BENCHMARK(bm_fig9_timeline);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -64,28 +64,6 @@ void print_reproduction() {
             << " % of sampled configurations\n";
 }
 
-void bm_table1_tornado(benchmark::State& state) {
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  const auto ranges = scenario::table1_ranges();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scenario::tornado(core::paper_suite(), testcase, schedule, ranges));
-  }
-}
-BENCHMARK(bm_table1_tornado);
-
-void bm_table1_monte_carlo(benchmark::State& state) {
-  const auto testcase = device::domain_testcase(device::Domain::dnn);
-  const auto schedule = core::paper_schedule(device::Domain::dnn);
-  const auto ranges = scenario::table1_ranges();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scenario::monte_carlo(core::paper_suite(), testcase, schedule,
-                                                   ranges, static_cast<int>(state.range(0)),
-                                                   42));
-  }
-}
-BENCHMARK(bm_table1_monte_carlo)->Arg(16)->Arg(64);
-
 }  // namespace
 
 GF_BENCH_MAIN(print_reproduction)

@@ -30,9 +30,8 @@ scenario::Engine single_thread_engine() {
   return scenario::Engine(scenario::EngineOptions{.threads = 1});
 }
 
-/// The 50x50 DNN volume x lifetime heat-map (the engine_throughput
-/// driver's grid): 2500 points x 2 platforms through the memoised
-/// embodied-carbon path.
+/// The 50x50 DNN volume x lifetime heat-map: 2500 points x 2 platforms
+/// through the memoised embodied-carbon path.
 scenario::ScenarioSpec grid_spec() {
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::make(scenario::ScenarioKind::grid, device::Domain::dnn);

@@ -19,27 +19,6 @@ std::uint64_t steady_now_ns() {
 
 }  // namespace
 
-CaseResult result_from_samples(std::string group, std::string name, int warmup,
-                               std::int64_t iterations,
-                               std::vector<double> per_op_seconds,
-                               double bytes_per_op) {
-  CaseResult result;
-  result.group = std::move(group);
-  result.name = std::move(name);
-  result.warmup = warmup;
-  result.repetitions = static_cast<int>(per_op_seconds.size());
-  result.iterations = iterations;
-  result.seconds = compute_stats(std::move(per_op_seconds));
-  // A zero median (clock granularity under-run) must not divide; such a
-  // case needs more iterations per batch, and infinite ops/s would hide
-  // that.
-  result.ops_per_s = result.seconds.median > 0.0 ? 1.0 / result.seconds.median : 0.0;
-  result.bytes_per_s = (bytes_per_op > 0.0 && result.seconds.median > 0.0)
-                           ? bytes_per_op / result.seconds.median
-                           : 0.0;
-  return result;
-}
-
 CaseResult run_case(const BenchCase& bench_case, const BenchOptions& options) {
   if (!bench_case.setup) {
     throw std::invalid_argument("bench case '" + bench_case.id() + "': no setup");
@@ -80,9 +59,21 @@ CaseResult run_case(const BenchCase& bench_case, const BenchOptions& options) {
     per_op_seconds.push_back(static_cast<double>(stop - start) * 1e-9 /
                              static_cast<double>(prepared.iterations));
   }
-  return result_from_samples(bench_case.group, bench_case.name, options.warmup,
-                             prepared.iterations, std::move(per_op_seconds),
-                             prepared.bytes_per_op);
+  CaseResult result;
+  result.group = bench_case.group;
+  result.name = bench_case.name;
+  result.warmup = options.warmup;
+  result.repetitions = options.repetitions;
+  result.iterations = prepared.iterations;
+  result.seconds = compute_stats(std::move(per_op_seconds));
+  // A zero median (clock granularity under-run) must not divide; such a
+  // case needs more iterations per batch, and infinite ops/s would hide
+  // that.
+  result.ops_per_s = result.seconds.median > 0.0 ? 1.0 / result.seconds.median : 0.0;
+  result.bytes_per_s = (prepared.bytes_per_op > 0.0 && result.seconds.median > 0.0)
+                           ? prepared.bytes_per_op / result.seconds.median
+                           : 0.0;
+  return result;
 }
 
 Environment capture_environment() {

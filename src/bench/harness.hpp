@@ -9,9 +9,8 @@
 /// bench` runs the registered cases and emits one canonical
 /// `BENCH_<group>.json` per case group (see bench/artifact.hpp), which is
 /// checked in as the performance baseline and enforced by CI
-/// (bench/compare.hpp).  Unlike the Google-Benchmark `bench/` drivers,
-/// this harness has no external dependency, so timings exist on every
-/// machine that can build the library.
+/// (bench/compare.hpp).  The harness has no external dependency, so
+/// timings exist on every machine that can build the library.
 ///
 /// Timing model: a case's `setup` runs once (untimed) and returns the
 /// operation closure; the harness then runs `warmup` untimed batches
@@ -87,15 +86,6 @@ struct CaseResult {
 
   [[nodiscard]] std::string id() const { return group + "/" + name; }
 };
-
-/// Build a `CaseResult` from already-measured per-operation seconds
-/// samples (the shared tail of `run_case`; also the entry point for
-/// external drivers -- bench/serve_throughput.cpp feeds per-request
-/// latencies through here to emit BENCH_serve.json).
-[[nodiscard]] CaseResult result_from_samples(std::string group, std::string name,
-                                             int warmup, std::int64_t iterations,
-                                             std::vector<double> per_op_seconds,
-                                             double bytes_per_op = 0.0);
 
 /// Run one case under `options` (setup, warmup batches, timed batches,
 /// summary).  Throws std::invalid_argument on a case whose setup yields

@@ -203,10 +203,13 @@ void write_output(std::string_view flag, const std::string& path, const Render& 
     std::filesystem::create_directories(file_path.parent_path(), ignored);
   }
   std::ofstream file(file_path);
+  if (file) {
+    render(file);
+    file.close();
+  }
   if (!file) {
     throw CliError(std::string(flag) + ": cannot write '" + path + "'", 1);
   }
-  render(file);
   out << "wrote " << path << "\n";
 }
 
@@ -668,12 +671,10 @@ int run_bench(const CommandContext& context, const Args& args, std::ostream& out
     return 0;
   }
 
-  // Baseline comparison.  Whole groups the run did not execute are
-  // skipped with a note (a directory baseline may track groups produced
-  // by external drivers, e.g. BENCH_serve.json), and --filter applies to
-  // baseline cases exactly as to the run, so a filtered run never reports
-  // deliberately-skipped cases as missing.  Within a compared group,
-  // a baseline case absent from the run is a failure.
+  // Baseline comparison.  --filter applies to baseline cases exactly as
+  // to the run, so a filtered run never reports deliberately-skipped
+  // cases as missing.  Any other baseline case absent from the run -- a
+  // whole group included -- is a failure.
   std::vector<bench::BenchArtifact> baselines;
   for (const std::string& target : compare_paths) {
     std::vector<bench::BenchArtifact> loaded = load_baselines(target);
@@ -685,16 +686,6 @@ int run_bench(const CommandContext& context, const Args& args, std::ostream& out
   }
   std::vector<bench::BenchArtifact> compared;
   for (bench::BenchArtifact& baseline : baselines) {
-    const bool executed =
-        std::any_of(artifacts.begin(), artifacts.end(),
-                    [&baseline](const bench::BenchArtifact& artifact) {
-                      return artifact.group == baseline.group;
-                    });
-    if (!executed) {
-      out << "compare: skipping baseline group '" << baseline.group
-          << "' (not executed in this run)\n";
-      continue;
-    }
     std::erase_if(baseline.cases, [&matches](const bench::CaseResult& result) {
       return !matches(result.id());
     });

@@ -51,6 +51,10 @@ void CsvWriter::write_file(const std::string& path) const {
     throw std::runtime_error("CsvWriter: cannot open " + path);
   }
   out << render();
+  out.close();
+  if (!out) {
+    throw std::runtime_error("CsvWriter: cannot write " + path);
+  }
 }
 
 }  // namespace greenfpga::io

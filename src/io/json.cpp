@@ -398,6 +398,10 @@ void write_json_file(const std::string& path, const Json& value, int indent) {
   value.dump_to(text, indent);
   text.push_back('\n');
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out) {
+    throw JsonError("cannot write JSON file: " + path);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ TEST(BenchArtifact, UnknownSchemaThrows) {
 
 TEST(BenchArtifact, FilenameConvention) {
   EXPECT_EQ(artifact_filename("engine"), "BENCH_engine.json");
-  EXPECT_EQ(artifact_filename("serve"), "BENCH_serve.json");
+  EXPECT_EQ(artifact_filename("json"), "BENCH_json.json");
 }
 
 TEST(BenchArtifact, FileWriteIsCanonical) {
@@ -161,14 +161,28 @@ TEST(BenchCli, OutWritesCanonicalArtifacts) {
   std::filesystem::remove_all(dir);
 }
 
+/// `artifact` moved to `group`, cases included.
+BenchArtifact regrouped(BenchArtifact artifact, const std::string& group) {
+  artifact.group = group;
+  for (CaseResult& result : artifact.cases) {
+    result.group = group;
+  }
+  return artifact;
+}
+
 TEST(BenchCli, CompareAgainstFreshBaselinePasses) {
   const std::string dir = temp_dir("greenfpga_bench_baseline");
   ASSERT_EQ(
       run_cli({"bench", "--quick", "--filter", "^cache/", "--out", dir}).exit_code, 0);
+  // A baseline group the filter excludes is dropped, not reported missing.
+  const BenchArtifact other =
+      regrouped(read_artifact_file(dir + "/" + artifact_filename("cache")), "json");
+  write_artifact_file(dir + "/" + artifact_filename("json"), other);
   const CliRun result = run_cli({"bench", "--quick", "--filter", "^cache/",
                                  "--compare", dir, "--max-regression", "1000"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("within"), std::string::npos);
+  EXPECT_EQ(result.out.find("json/"), std::string::npos) << result.out;
   std::filesystem::remove_all(dir);
 }
 
@@ -205,6 +219,24 @@ TEST(BenchCli, CompareFailsOnBaselineCaseGoneMissing) {
                                  "--compare", dir, "--max-regression", "1000"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("cache/renamed_away"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchCli, CompareFailsOnBaselineGroupNoCaseProduces) {
+  const std::string dir = temp_dir("greenfpga_bench_ghost_group");
+  ASSERT_EQ(
+      run_cli({"bench", "--quick", "--filter", "^cache/", "--out", dir}).exit_code, 0);
+  // A whole baseline group no registered case produces (e.g. one written
+  // by a deleted driver) fails the gate instead of passing unchecked.
+  const BenchArtifact ghost =
+      regrouped(read_artifact_file(dir + "/" + artifact_filename("cache")), "ghost");
+  write_artifact_file(dir + "/" + artifact_filename("ghost"), ghost);
+  const CliRun result = run_cli({"bench", "--quick", "--filter", "^(cache|ghost)/",
+                                 "--compare", dir, "--max-regression", "1000"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("ghost/" + ghost.cases[0].name), std::string::npos)
+      << result.err;
+  EXPECT_EQ(result.out.find("skipping"), std::string::npos) << result.out;
   std::filesystem::remove_all(dir);
 }
 

@@ -403,6 +403,16 @@ TEST(Cli, OutputFlagFailuresNameThePath) {
       << result.err;
   EXPECT_EQ(run_cli({"sweep", "dnn", "apps", "--output"}).exit_code, 2);
 
+  // A path that opens but fails the write (a full device) fails the same
+  // way instead of reporting "wrote".
+  if (std::filesystem::exists("/dev/full")) {
+    const CliRun full = run_cli({"--output", "/dev/full", "sweep", "dnn", "apps"});
+    EXPECT_EQ(full.exit_code, 1);
+    EXPECT_NE(full.err.find("--output: cannot write '/dev/full'"), std::string::npos)
+        << full.err;
+    EXPECT_EQ(full.out.find("wrote"), std::string::npos) << full.out;
+  }
+
   // Every output-file flag shares the writer: --markdown under the same
   // blocker fails naming its flag, and a missing parent is created.
   const std::string scenario = write_scenario_file();
@@ -524,8 +534,10 @@ TEST(Cli, FormatWorksOnEverySubcommand) {
   EXPECT_EQ(run_cli({"--format", "md", "dump-config"}).exit_code, 2);
 }
 
-std::string write_batch_inputs() {
-  const std::string dir = ::testing::TempDir() + "/greenfpga_cli_batch_specs";
+/// Writes the batch specs under a per-test `leaf`, so tests running in
+/// parallel never rewrite each other's inputs mid-read.
+std::string write_batch_inputs(const std::string& leaf) {
+  const std::string dir = ::testing::TempDir() + "/" + leaf;
   std::filesystem::create_directories(dir);
   auto compare = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare,
                                               device::Domain::crypto);
@@ -551,7 +563,7 @@ std::string write_batch_inputs() {
 }
 
 TEST(Cli, BatchOverDirectoryWritesResultsAndIndex) {
-  const std::string dir = write_batch_inputs();
+  const std::string dir = write_batch_inputs("greenfpga_cli_batch_specs");
   const std::string out_dir = ::testing::TempDir() + "/greenfpga_cli_batch_out";
   std::filesystem::remove_all(out_dir);
   const CliRun result = run_cli({"--output", out_dir, "batch", dir, "--validate"});
@@ -569,7 +581,7 @@ TEST(Cli, BatchOverDirectoryWritesResultsAndIndex) {
 }
 
 TEST(Cli, BatchResultsMatchIndividualRunsAtAnyThreads) {
-  const std::string dir = write_batch_inputs();
+  const std::string dir = write_batch_inputs("greenfpga_cli_batch_threads_specs");
   const std::string out_dir = ::testing::TempDir() + "/greenfpga_cli_batch_threads";
   std::filesystem::remove_all(out_dir);
   const CliRun batch =

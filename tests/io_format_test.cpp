@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "io/csv.hpp"
 #include "io/table.hpp"
@@ -42,6 +44,23 @@ TEST(Csv, WriteFileCreatesParentDirectories) {
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "x,y");
+}
+
+TEST(Csv, WriteFileFailureNamesThePath) {
+  // /dev/full opens fine and fails the write; a small file only reaches
+  // it at the final flush, so the check must come after close.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full absent";
+  }
+  CsvWriter csv;
+  csv.add_row({"x", "y"});
+  try {
+    csv.write_file("/dev/full");
+    FAIL() << "expected a write error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(TextTable, AlignsColumns) {

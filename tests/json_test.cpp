@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -340,6 +341,20 @@ TEST(JsonFile, RoundTripThroughDisk) {
 
 TEST(JsonFile, MissingFileThrows) {
   EXPECT_THROW(parse_json_file("/nonexistent/greenfpga.json"), JsonError);
+}
+
+TEST(JsonFile, WriteFailureNamesThePath) {
+  // /dev/full opens fine and fails the write at the final flush.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full absent";
+  }
+  try {
+    write_json_file("/dev/full", Json::object({{"x", 1.25}}));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
 }
 
 // Round-trip property: parse(dump(v)) == v for varied numeric magnitudes.
