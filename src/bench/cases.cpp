@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
 #include "io/json_arena.hpp"
 #include "scenario/engine.hpp"
@@ -65,8 +64,8 @@ scenario::ScenarioSpec frontier_spec() {
                     scenario::PlatformRef{.name = "gpu", .chip = {}},
                     scenario::PlatformRef{.name = "cpu", .chip = {}}};
   spec.frontier.axes = {
-      dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1, 16, 16),
-      dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e3, 1e7, 12)};
+      scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 16, 16),
+      scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e3, 1e7, 12)};
   return spec;
 }
 
@@ -129,8 +128,8 @@ std::vector<scenario::ScenarioSpec> registry_specs() {
     }
     if (module->kind == scenario::ScenarioKind::frontier) {
       spec.frontier.axes = {
-          dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1, 4, 4),
-          dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e4, 1e6, 3)};
+          scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 4, 4),
+          scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e4, 1e6, 3)};
     }
     specs.push_back(std::move(spec));
   }

@@ -3,7 +3,7 @@
 
 /// \file parallel.hpp
 /// The deterministic worker-pool primitive shared by the evaluation
-/// subsystems (`scenario::Engine`, `dse::FrontierSearch`).
+/// subsystems (`scenario::Engine` and its kinds, the batch runner).
 ///
 /// One contract, stated once: work items are independent, each writes to
 /// a pre-sized slot of its own, and every item is computed by the same

@@ -53,8 +53,10 @@ bool CacheStore::save(const std::string& key, const ScenarioResult& result) noex
       entry.dump_to(text, 0);
       text.push_back('\n');
       out << text;
-      if (!out.good()) {
-        out.close();
+      // A small entry sits in the stream buffer until close() flushes it,
+      // so only the stream state after the close says it reached the disk.
+      out.close();
+      if (out.fail()) {
         std::remove(temp_path.c_str());
         return false;
       }

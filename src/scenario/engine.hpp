@@ -20,6 +20,7 @@
 /// computed by the same deterministic code from the same inputs, and
 /// workers write to pre-sized slots (pinned by tests/engine_test.cpp).
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -28,7 +29,6 @@
 
 #include "core/comparator.hpp"
 #include "device/platform_registry.hpp"
-#include "dse/frontier.hpp"
 #include "scenario/breakeven.hpp"
 #include "scenario/heatmap.hpp"
 #include "scenario/node_dse.hpp"
@@ -118,6 +118,50 @@ struct MonteCarloUq {
   [[nodiscard]] std::vector<double> ratio_samples(std::size_t index = 1) const;
 };
 
+/// One evaluated frontier cell.
+struct FrontierCell {
+  std::vector<double> coords;        ///< one per axis, spec axis order
+  std::vector<double> objective_kg;  ///< per platform; +inf = infeasible here
+  int winner = -1;                   ///< platform index; -1 = no feasible platform
+  /// Runner-up objective over winner objective (>= 1); +inf with fewer
+  /// than two feasible platforms.  1 means a contested cell.
+  double margin = 0.0;
+  /// Fraction of confidence samples agreeing with `winner`; 1 when the
+  /// confidence pass is disabled.
+  double confidence = 1.0;
+};
+
+/// Win fractions across one slice of one frontier axis.
+struct FrontierSlice {
+  std::size_t axis = 0;              ///< index into spec.frontier.axes
+  double value = 0.0;                ///< the axis coordinate of this slice
+  std::vector<double> win_fraction;  ///< per platform, over the slice's cells
+};
+
+/// One breakeven boundary between two platforms (2-axis frontiers only):
+/// the interpolated points where the pairwise objective difference
+/// crosses zero, sorted lexicographically by (x, y) for determinism.
+struct FrontierBoundary {
+  int platform_a = 0;  ///< lower platform index of the pair
+  int platform_b = 0;  ///< higher platform index of the pair
+  std::vector<std::array<double, 2>> points;  ///< (axis0, axis1) coordinates
+};
+
+/// The frontier kind's output: per-cell winners and the win-region
+/// structure (counts, slices, boundaries).  The spec and platform names
+/// are the enclosing result's.
+struct FrontierResult {
+  std::vector<std::vector<double>> axis_values;  ///< materialised, per axis
+  /// Row-major cells: axis 0 is the innermost (fastest-varying) dimension.
+  std::vector<FrontierCell> cells;
+  std::vector<std::size_t> win_counts;  ///< per platform
+  std::vector<double> win_fraction;     ///< per platform, over all cells
+  std::size_t infeasible_cells = 0;     ///< cells with no feasible platform
+  std::vector<FrontierSlice> slices;    ///< every (axis, value) slice
+  std::vector<FrontierBoundary> boundaries;  ///< 2-axis grids only
+  int confidence_samples = 0;
+};
+
 /// The engine's output: the resolved spec plus the kind-dependent payload.
 struct ScenarioResult {
   ScenarioSpec spec;                            ///< as run (platforms defaulted)
@@ -134,7 +178,7 @@ struct ScenarioResult {
   std::optional<MonteCarloResult> monte_carlo;  ///< sensitivity kind
   std::optional<BreakevenReport> breakeven;     ///< breakeven kind
   std::optional<MonteCarloUq> uncertainty;      ///< montecarlo kind (and fleet MC)
-  std::optional<dse::FrontierResult> frontier;  ///< frontier kind
+  std::optional<FrontierResult> frontier;       ///< frontier kind
   std::optional<FleetResult> fleet;             ///< fleet kind
 
   // -- ASIC/FPGA views (throw std::logic_error when the shape does not

@@ -21,7 +21,8 @@ using report::Cell;
 using report::Column;
 using report::ResultFrame;
 
-/// Apply one axis coordinate to the homogeneous schedule fields.
+}  // namespace
+
 void apply_axis(ScheduleSpec& schedule, SweepVariable variable, double value) {
   switch (variable) {
     case SweepVariable::app_count:
@@ -33,11 +34,11 @@ void apply_axis(ScheduleSpec& schedule, SweepVariable variable, double value) {
     case SweepVariable::volume:
       schedule.volume = value;
       return;
+    case SweepVariable::node:
+      return;  // retargets the chips, not the schedule (frontier only)
   }
   throw std::logic_error("Engine: unknown sweep variable");
 }
-
-}  // namespace
 
 PointPlan plan_points(const ScenarioSpec& spec) {
   PointPlan plan;

@@ -36,6 +36,10 @@ void parallel_for(std::size_t n, int threads, const core::ModelSuite& suite, Fn&
 
 // -- point machinery (compare / sweep / grid) --------------------------------------
 
+/// Apply one axis coordinate to the homogeneous schedule fields (a node
+/// coordinate leaves the schedule alone).
+void apply_axis(ScheduleSpec& schedule, SweepVariable variable, double value);
+
 /// Materialised point grid of a compare/sweep/grid spec.
 struct PointPlan {
   std::vector<std::vector<double>> axis_values;

@@ -83,9 +83,9 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
     return;
   }
 
-  // Monte-Carlo over the spec's Table 1 distributions: sample i draws
-  // from the counter stream (seed, i, dimension), re-simulates the whole
-  // fleet on the sampled suite, and writes pre-sized slot i -- the same
+  // Monte-Carlo over the spec's Table 1 distributions: sample i is
+  // counter-stream sample (seed, i), re-simulates the whole fleet on the
+  // sampled suite, and writes pre-sized slot i -- the same
   // bit-identical-for-any-thread-count contract as the montecarlo kind.
   const MonteCarloUqSpec& mc = spec.montecarlo;
   const auto samples = static_cast<std::size_t>(fleet.mc_samples);
@@ -94,25 +94,12 @@ void execute(const KindRunContext& context, const core::ModelSuite& suite,
   uq.percentiles = mc.percentiles;
   uq.sample_totals_kg.assign(result.resolved_chips.size(),
                              std::vector<double>(samples, 0.0));
-  const std::vector<ParameterRange> known = table1_ranges();
-  std::vector<std::size_t> applier_index;
-  applier_index.reserve(mc.distributions.size());
-  for (const core::ParamDistribution& distribution : mc.distributions) {
-    for (std::size_t r = 0; r < known.size(); ++r) {
-      if (known[r].name == distribution.parameter) {
-        applier_index.push_back(r);
-        break;
-      }
-    }
-  }
+  const ParameterSampler sampler(mc.distributions);
   core::parallel_for_state(
       samples, context.threads, [] { return 0; },
       [&](int& /*state*/, std::size_t i) {
         core::ModelSuite sampled = suite;
-        for (std::size_t j = 0; j < mc.distributions.size(); ++j) {
-          const double u = core::counter_uniform01(mc.seed, i, j);
-          known[applier_index[j]].apply(sampled, mc.distributions[j].sample(u));
-        }
+        sampler.draw(mc.seed, i, sampled);
         const FleetResult sample =
             simulate_fleet(fleet, spec.domain, sampled, result.resolved_chips);
         for (std::size_t p = 0; p < sample.groups.size(); ++p) {

@@ -165,30 +165,15 @@ void validate(const ScenarioSpec& spec) {
   validate_spec_distributions(spec);
 }
 
-/// Per-spec montecarlo context: the schedule plus each distribution's
-/// Table 1 applier, bound by index so the plan stays movable.
+/// Per-spec montecarlo context: the schedule plus the bound sampler.
 struct McPlan {
-  std::vector<ParameterRange> known;
-  std::vector<std::size_t> applier_index;  ///< into `known`, one per distribution
+  ParameterSampler sampler;
   workload::Schedule schedule;
 };
 
 McPlan plan_montecarlo(const ScenarioSpec& spec) {
-  McPlan plan;
-  plan.schedule = spec.schedule.materialise(spec.domain);
-  // Bind each distribution to its Table 1 applier by name (spec.validate()
-  // has already rejected unknown names).
-  plan.known = table1_ranges();
-  plan.applier_index.reserve(spec.montecarlo.distributions.size());
-  for (const core::ParamDistribution& distribution : spec.montecarlo.distributions) {
-    for (std::size_t r = 0; r < plan.known.size(); ++r) {
-      if (plan.known[r].name == distribution.parameter) {
-        plan.applier_index.push_back(r);
-        break;
-      }
-    }
-  }
-  return plan;
+  return McPlan{.sampler = ParameterSampler(spec.montecarlo.distributions),
+                .schedule = spec.schedule.materialise(spec.domain)};
 }
 
 MonteCarloUq make_mc_skeleton(const ScenarioSpec& spec, std::size_t platforms) {
@@ -202,21 +187,16 @@ MonteCarloUq make_mc_skeleton(const ScenarioSpec& spec, std::size_t platforms) {
 }
 
 /// Evaluate Monte-Carlo sample `i` into column i of `uq.sample_totals_kg`.
-/// Sample i draws its parameter values from the counter stream
-/// (seed, i, dimension) -- fully determined by the sample index, never by
-/// which worker ran it or in what order.  Every sample re-parameterises
-/// the suite, so the memoised per-worker model is useless here: each
-/// sample builds its own LifecycleModel from the sampled suite.
+/// Sample i is counter-stream sample (seed, i) -- fully determined by the
+/// sample index, never by which worker ran it or in what order.  Every
+/// sample re-parameterises the suite, so the memoised per-worker model is
+/// useless here: each sample builds its own LifecycleModel.
 void evaluate_mc_sample(const ScenarioSpec& spec, const McPlan& plan,
                         const core::ModelSuite& suite,
                         const std::vector<device::ChipSpec>& chips, std::size_t i,
                         MonteCarloUq& uq) {
-  const MonteCarloUqSpec& mc = spec.montecarlo;
   core::ModelSuite sampled = suite;
-  for (std::size_t j = 0; j < mc.distributions.size(); ++j) {
-    const double u = core::counter_uniform01(mc.seed, i, j);
-    plan.known[plan.applier_index[j]].apply(sampled, mc.distributions[j].sample(u));
-  }
+  plan.sampler.draw(spec.montecarlo.seed, i, sampled);
   const core::LifecycleModel model(sampled);
   for (std::size_t p = 0; p < chips.size(); ++p) {
     uq.sample_totals_kg[p][i] =

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
 #include "scenario/engine.hpp"
@@ -73,6 +72,39 @@ std::vector<ParameterRange> table1_ranges() {
   return ranges;
 }
 
+ParameterSampler::ParameterSampler(
+    const std::vector<core::ParamDistribution>& distributions) {
+  const std::vector<ParameterRange> known = table1_ranges();
+  dimensions_.reserve(distributions.size());
+  for (const core::ParamDistribution& distribution : distributions) {
+    const auto range = std::find_if(known.begin(), known.end(), [&](const ParameterRange& r) {
+      return r.name == distribution.parameter;
+    });
+    if (range == known.end()) {
+      throw std::invalid_argument("unknown distribution parameter \"" +
+                                  distribution.parameter + "\" (see table1_ranges)");
+    }
+    dimensions_.push_back(Dimension{.distribution = distribution, .apply = range->apply});
+  }
+}
+
+ParameterSampler::ParameterSampler(const std::vector<ParameterRange>& ranges) {
+  dimensions_.reserve(ranges.size());
+  for (const ParameterRange& range : ranges) {
+    dimensions_.push_back(Dimension{
+        .distribution = core::ParamDistribution::uniform(range.name, range.low, range.high),
+        .apply = range.apply});
+  }
+}
+
+void ParameterSampler::draw(std::uint64_t seed, std::uint64_t index,
+                            core::ModelSuite& suite) const {
+  for (std::size_t j = 0; j < dimensions_.size(); ++j) {
+    const double u = core::counter_uniform01(seed, index, j);
+    dimensions_[j].apply(suite, dimensions_[j].distribution.sample(u));
+  }
+}
+
 double TornadoEntry::swing() const { return std::fabs(ratio_at_high - ratio_at_low); }
 
 std::vector<TornadoEntry> tornado(const core::ModelSuite& base,
@@ -105,16 +137,12 @@ MonteCarloResult monte_carlo(const core::ModelSuite& base,
   if (samples < 1) {
     throw std::invalid_argument("sensitivity: sensitivity.samples must be at least 1");
   }
-  std::mt19937 rng(seed);
+  const ParameterSampler sampler(ranges);
   std::vector<double> ratios;
   ratios.reserve(static_cast<std::size_t>(samples));
-
   for (int i = 0; i < samples; ++i) {
     core::ModelSuite suite = base;
-    for (const ParameterRange& range : ranges) {
-      std::uniform_real_distribution<double> dist(range.low, range.high);
-      range.apply(suite, dist(rng));
-    }
+    sampler.draw(seed, static_cast<std::uint64_t>(i), suite);
     ratios.push_back(ratio_for(suite, testcase, schedule));
   }
 

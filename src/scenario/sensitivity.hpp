@@ -10,13 +10,18 @@
 /// and uniform Monte-Carlo sampling over the Table 1 ranges, reporting how
 /// the FPGA:ASIC verdict moves.  (An extension beyond the paper's own
 /// evaluation, listed in DESIGN.md as ablation support.)
+///
+/// It also owns `ParameterSampler`, the one Table 1 sampler behind every
+/// Monte-Carlo pass in the engine.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/comparator.hpp"
 #include "core/lifecycle_model.hpp"
+#include "core/param_distributions.hpp"
 #include "device/catalog.hpp"
 #include "workload/application.hpp"
 
@@ -33,6 +38,34 @@ struct ParameterRange {
 
 /// The paper's Table 1, as sweepable ranges.
 [[nodiscard]] std::vector<ParameterRange> table1_ranges();
+
+/// The one Table 1 sampler: the montecarlo kind, the fleet and frontier
+/// Monte-Carlo passes and the sensitivity kind all draw through it.
+/// Parameter names are bound to appliers once, at construction (never per
+/// sample: `table1_ranges()` builds ten std::functions).  `draw` then
+/// writes sample `index` into a suite: dimension j takes
+/// `distribution_j.sample(core::counter_uniform01(seed, index, j))`.  A
+/// sample is a pure function of (seed, index), so results do not depend on
+/// the worker that draws it, the thread count or the standard library.
+class ParameterSampler {
+ public:
+  /// Bind each distribution to the `table1_ranges()` applier of its
+  /// parameter.  Throws std::invalid_argument on an unknown name.
+  explicit ParameterSampler(const std::vector<core::ParamDistribution>& distributions);
+
+  /// Uniform over each range's [low, high], written through the range's
+  /// own applier (so programmatic ranges sample too).
+  explicit ParameterSampler(const std::vector<ParameterRange>& ranges);
+
+  void draw(std::uint64_t seed, std::uint64_t index, core::ModelSuite& suite) const;
+
+ private:
+  struct Dimension {
+    core::ParamDistribution distribution;
+    std::function<void(core::ModelSuite&, double)> apply;
+  };
+  std::vector<Dimension> dimensions_;
+};
 
 /// One-at-a-time sensitivity result for one parameter.
 struct TornadoEntry {
@@ -63,9 +96,9 @@ struct MonteCarloResult {
   double fpga_win_fraction = 0.0;
 };
 
-/// Sample all ranges uniformly and independently `samples` times.
-/// Deterministic for a fixed `seed`.  Throws std::invalid_argument when
-/// `samples` < 1.
+/// Sample all ranges uniformly and independently `samples` times through
+/// a `ParameterSampler` (sample i is counter-stream sample (seed, i)).
+/// Throws std::invalid_argument when `samples` < 1.
 [[nodiscard]] MonteCarloResult monte_carlo(const core::ModelSuite& base,
                                            const device::DomainTestcase& testcase,
                                            const workload::Schedule& schedule,

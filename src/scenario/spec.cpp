@@ -8,6 +8,8 @@
 
 #include "scenario/spec.hpp"
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -101,6 +103,8 @@ std::string to_string(SweepVariable variable) {
       return "lifetime_years";
     case SweepVariable::volume:
       return "volume";
+    case SweepVariable::node:
+      return "node";
   }
   return "unknown";
 }
@@ -109,6 +113,7 @@ std::optional<SweepVariable> parse_sweep_variable(std::string_view text) {
   if (text == "app_count" || text == "apps") return SweepVariable::app_count;
   if (text == "lifetime_years" || text == "lifetime") return SweepVariable::lifetime_years;
   if (text == "volume") return SweepVariable::volume;
+  if (text == "node" || text == "nodes") return SweepVariable::node;
   return std::nullopt;
 }
 
@@ -124,7 +129,25 @@ std::string to_string(AxisScale scale) {
   return "unknown";
 }
 
+std::vector<tech::ProcessNode> AxisSpec::materialised_nodes() const {
+  if (variable != SweepVariable::node) {
+    throw std::logic_error("AxisSpec: not a node axis");
+  }
+  if (!nodes.empty()) {
+    return nodes;
+  }
+  const std::span<const tech::ProcessNode> all = tech::all_nodes();
+  return {all.begin(), all.end()};
+}
+
 std::vector<double> AxisSpec::values() const {
+  if (variable == SweepVariable::node) {
+    std::vector<double> out;
+    for (const tech::ProcessNode node : materialised_nodes()) {
+      out.push_back(static_cast<double>(static_cast<std::int16_t>(node)));
+    }
+    return out;
+  }
   switch (scale) {
     case AxisScale::list:
       if (explicit_values.empty()) {
@@ -147,6 +170,8 @@ std::string AxisSpec::label() const {
       return "T_i [years]";
     case SweepVariable::volume:
       return "N_vol [units]";
+    case SweepVariable::node:
+      return "node [nm]";
   }
   return "x";
 }
@@ -177,6 +202,32 @@ AxisSpec AxisSpec::log(SweepVariable variable, double from, double to, int count
   axis.to = to;
   axis.count = count;
   return axis;
+}
+
+AxisSpec AxisSpec::node_list(std::vector<tech::ProcessNode> nodes) {
+  AxisSpec axis;
+  axis.variable = SweepVariable::node;
+  axis.nodes = std::move(nodes);
+  return axis;
+}
+
+std::string to_string(FrontierObjective objective) {
+  switch (objective) {
+    case FrontierObjective::total:
+      return "total";
+    case FrontierObjective::embodied:
+      return "embodied";
+    case FrontierObjective::operational:
+      return "operational";
+  }
+  return "unknown";
+}
+
+std::optional<FrontierObjective> parse_frontier_objective(std::string_view text) {
+  if (text == "total") return FrontierObjective::total;
+  if (text == "embodied") return FrontierObjective::embodied;
+  if (text == "operational") return FrontierObjective::operational;
+  return std::nullopt;
 }
 
 std::vector<core::ParamDistribution> default_distributions() {
@@ -227,6 +278,10 @@ void ScenarioSpec::validate() const {
                                 "': axes cannot override an explicit schedule");
   }
   for (const AxisSpec& axis : axes) {
+    if (axis.variable == SweepVariable::node) {
+      throw std::invalid_argument("ScenarioSpec '" + name +
+                                  "': a node axis is only valid in frontier.axes");
+    }
     if (axis.scale == AxisScale::list) {
       if (axis.explicit_values.empty()) {
         throw std::invalid_argument("ScenarioSpec '" + name + "': axis " +
@@ -263,11 +318,17 @@ void ScenarioSpec::validate() const {
 
 // -- JSON -----------------------------------------------------------------------
 
-namespace {
-
 Json axis_to_json(const AxisSpec& axis) {
   Json out = Json::object();
   out["variable"] = to_string(axis.variable);
+  if (axis.variable == SweepVariable::node) {
+    Json nodes = Json::array();
+    for (const tech::ProcessNode node : axis.nodes) {
+      nodes.push_back(tech::to_string(node));
+    }
+    out["nodes"] = std::move(nodes);
+    return out;
+  }
   out["scale"] = to_string(axis.scale);
   if (axis.scale == AxisScale::list) {
     Json values = Json::array();
@@ -283,41 +344,74 @@ Json axis_to_json(const AxisSpec& axis) {
   return out;
 }
 
-AxisSpec axis_from_json(const Json& json) {
-  check_keys(json, "axis", {"variable", "scale", "from", "to", "count", "values"});
+AxisSpec axis_from_json(const Json& json, const std::string& context, bool allow_node) {
+  // Field errors read "<where>.<key>: ..."; shape errors lead with the
+  // context when there is one ("frontier.axes: list axis needs ...").
+  const std::string where = context.empty() ? "axis" : context;
+  const std::string prefix = context.empty() ? "" : context + ": ";
+  if (allow_node) {
+    check_keys(json, where, {"variable", "scale", "from", "to", "count", "values", "nodes"});
+  } else {
+    check_keys(json, where, {"variable", "scale", "from", "to", "count", "values"});
+  }
   AxisSpec axis;
   const std::string variable = json.string_or("variable", "app_count");
   const auto parsed_variable = parse_sweep_variable(variable);
-  if (!parsed_variable) {
-    throw core::ConfigError("unknown axis variable \"" + variable + "\"");
+  if (!parsed_variable || (*parsed_variable == SweepVariable::node && !allow_node)) {
+    throw core::ConfigError(prefix + "unknown axis variable \"" + variable + "\"" +
+                            (allow_node ? " (app_count, lifetime_years, volume, node)" : ""));
   }
   axis.variable = *parsed_variable;
+  if (axis.variable == SweepVariable::node) {
+    for (const std::string_view key : {"scale", "from", "to", "count", "values"}) {
+      if (json.contains(key)) {
+        throw core::ConfigError(prefix + "a node axis takes a \"nodes\" list, not \"" +
+                                std::string(key) + "\"");
+      }
+    }
+    if (json.contains("nodes")) {
+      for (const Json& entry : json.at("nodes").as_array()) {
+        const auto node = tech::parse_node(entry.as_string());
+        if (!node) {
+          throw core::ConfigError(prefix + "unknown process node \"" + entry.as_string() +
+                                  "\"");
+        }
+        axis.nodes.push_back(*node);
+      }
+    }
+    return axis;
+  }
+  if (json.contains("nodes")) {
+    throw core::ConfigError(prefix + "\"nodes\" needs \"variable\": \"node\"");
+  }
   const std::string scale = json.string_or("scale", json.contains("values") ? "list" : "linear");
   if (scale == "list") {
     axis.scale = AxisScale::list;
     if (!json.contains("values")) {
-      throw core::ConfigError("list axis needs a \"values\" array");
+      throw core::ConfigError(prefix + "list axis needs a \"values\" array");
     }
     for (const Json& v : json.at("values").as_array()) {
       try {
         axis.explicit_values.push_back(v.as_number());
       } catch (const io::JsonError& error) {
-        throw core::ConfigError("axis.values: " + std::string(error.what()));
+        throw core::ConfigError(where + ".values: " + std::string(error.what()));
       }
     }
   } else if (scale == "linear" || scale == "log") {
     axis.scale = scale == "linear" ? AxisScale::linear : AxisScale::log;
     if (!json.contains("from") || !json.contains("to") || !json.contains("count")) {
-      throw core::ConfigError(scale + " axis needs \"from\", \"to\" and \"count\"");
+      throw core::ConfigError(prefix + scale + " axis needs \"from\", \"to\" and \"count\"");
     }
-    axis.from = number_field(json, "axis", "from");
-    axis.to = number_field(json, "axis", "to");
-    axis.count = static_cast<int>(int_field_ctx(json, "axis", "count", 0, 2, 1'000'000));
+    axis.from = number_field(json, where, "from");
+    axis.to = number_field(json, where, "to");
+    axis.count = static_cast<int>(int_field_ctx(json, where, "count", 0, 2, 1'000'000));
   } else {
-    throw core::ConfigError("unknown axis scale \"" + scale + "\"");
+    throw core::ConfigError(prefix + "unknown axis scale \"" + scale + "\"");
   }
   return axis;
 }
+
+namespace {
 
 Json platform_to_json(const PlatformRef& platform) {
   if (!platform.chip) {
@@ -444,7 +538,7 @@ ScenarioSpec spec_from_json(const Json& json) {
   }
   if (json.contains("axes")) {
     for (const Json& entry : json.at("axes").as_array()) {
-      spec.axes.push_back(axis_from_json(entry));
+      spec.axes.push_back(axis_from_json(entry, "", false));
     }
   }
   if (json.contains("grid_profile")) {

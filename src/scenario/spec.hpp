@@ -32,7 +32,6 @@
 #include "core/paper_config.hpp"
 #include "core/param_distributions.hpp"
 #include "device/chip_spec.hpp"
-#include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
 #include "scenario/fleet.hpp"
 #include "scenario/sensitivity.hpp"
@@ -59,11 +58,14 @@ enum class ScenarioKind {
 [[nodiscard]] std::string to_string(ScenarioKind kind);
 [[nodiscard]] std::optional<ScenarioKind> parse_scenario_kind(std::string_view text);
 
-/// The scenario variables an axis can sweep (the paper's N_app, T_i, N_vol).
+/// The deployment variables an axis can span: the paper's N_app, T_i and
+/// N_vol, plus `node`, which retargets every platform device across
+/// fabrication nodes (frontier axes only; sweep and grid reject it).
 enum class SweepVariable {
   app_count,
   lifetime_years,
   volume,
+  node,
 };
 
 [[nodiscard]] std::string to_string(SweepVariable variable);
@@ -78,21 +80,29 @@ enum class AxisScale {
 
 [[nodiscard]] std::string to_string(AxisScale scale);
 
-/// One sweep/grid axis: a scenario variable plus its sample generator.
-/// Keeping the generator (rather than materialised samples) preserves the
-/// author's intent through JSON round-trips.
+/// One sweep/grid/frontier axis: a scenario variable plus its sample
+/// generator.  Keeping the generator (rather than materialised samples)
+/// preserves the author's intent through JSON round-trips.  Numeric
+/// variables use scale/from/to/count or explicit values; the `node`
+/// variable carries a node list instead (empty = every database node,
+/// oldest first).
 struct AxisSpec {
   SweepVariable variable = SweepVariable::app_count;
   AxisScale scale = AxisScale::list;
   double from = 0.0;
   double to = 0.0;
   int count = 0;
-  std::vector<double> explicit_values;  ///< used when scale == list
+  std::vector<double> explicit_values;   ///< used when scale == list
+  std::vector<tech::ProcessNode> nodes;  ///< node axis only
 
-  /// Materialise the sample values.
+  /// Materialise the sample values.  A node axis yields the marketing-nm
+  /// figure of each node (28, 20, ..., 3), so every coordinate is a double.
   [[nodiscard]] std::vector<double> values() const;
 
-  /// Axis label ("N_app", "T_i [years]", "N_vol [units]").
+  /// Node list with the empty-list default applied (node axis only).
+  [[nodiscard]] std::vector<tech::ProcessNode> materialised_nodes() const;
+
+  /// Axis label ("N_app", "T_i [years]", "N_vol [units]", "node [nm]").
   [[nodiscard]] std::string label() const;
 
   [[nodiscard]] static AxisSpec list(SweepVariable variable, std::vector<double> values);
@@ -100,7 +110,18 @@ struct AxisSpec {
                                        int count);
   [[nodiscard]] static AxisSpec log(SweepVariable variable, double from, double to,
                                     int count);
+  [[nodiscard]] static AxisSpec node_list(std::vector<tech::ProcessNode> nodes);
 };
+
+/// Canonical JSON form of one axis: {variable, nodes} for a node axis,
+/// else {variable, scale, values} or {variable, scale, from, to, count}.
+[[nodiscard]] io::Json axis_to_json(const AxisSpec& axis);
+
+/// Parse one axis.  `context` names the enclosing field in error messages
+/// ("frontier.axes"); empty means the top-level "axes" of sweep and grid.
+/// Only `allow_node` readers accept the node variable and its "nodes" key.
+[[nodiscard]] AxisSpec axis_from_json(const io::Json& json, const std::string& context,
+                                      bool allow_node);
 
 /// A platform under evaluation: a registry name, optionally pinned to an
 /// explicit device (which bypasses the registry lookup).
@@ -190,6 +211,30 @@ struct MonteCarloUqSpec {
 /// (mirrors `table1_ranges()` name-for-name).
 [[nodiscard]] std::vector<core::ParamDistribution> default_distributions();
 
+/// Which carbon number decides the winner of a frontier cell.
+enum class FrontierObjective {
+  total,        ///< embodied + deployment (the paper's headline metric)
+  embodied,     ///< design + manufacturing + packaging + EOL
+  operational,  ///< use-phase energy carbon only
+};
+
+[[nodiscard]] std::string to_string(FrontierObjective objective);
+[[nodiscard]] std::optional<FrontierObjective> parse_frontier_objective(
+    std::string_view text);
+
+/// Frontier-kind parameters: where, in the joint space of application
+/// count, lifetime, volume and fabrication node, does each platform win?
+/// 2-4 axes over distinct variables (at most one node axis), the objective
+/// that decides a winner, and the optional Monte-Carlo confidence pass
+/// (`confidence_samples` re-evaluations of the grid under parameters drawn
+/// from `montecarlo.distributions`; 0 disables it).
+struct FrontierSpec {
+  std::vector<AxisSpec> axes;
+  FrontierObjective objective = FrontierObjective::total;
+  int confidence_samples = 0;
+  unsigned seed = 42;
+};
+
 /// Output selection: what the engine retains in the result.
 struct OutputSpec {
   /// Keep per-application attribution in every evaluated point.  Always
@@ -215,10 +260,9 @@ struct ScenarioSpec {
   BreakevenSpec breakeven;
   SensitivitySpec sensitivity;
   MonteCarloUqSpec montecarlo;
-  /// Frontier-kind parameters (dse/frontier_spec.hpp).  `make()` seeds a
-  /// default app_count x volume grid; the confidence pass draws its
-  /// parameter distributions from `montecarlo.distributions`.
-  dse::FrontierSpec frontier;
+  /// Frontier-kind parameters.  `make()` seeds a default app_count x
+  /// volume grid.
+  FrontierSpec frontier;
   /// Fleet-kind parameters.  Engaged only for the fleet kind (`make()`
   /// seeds `default_fleet_spec()` there); nullopt -- and omitted from the
   /// JSON form -- for every other kind, so pre-registry specs stay

@@ -135,5 +135,28 @@ TEST_F(CacheStoreTest, UnusableDirectoryFailsAtConstruction) {
   fs::remove(blocker);
 }
 
+TEST(CacheStore, SaveFailingAtCloseLeavesNoEntry) {
+  // The first temp file of a fresh store is path_for(key) + ".tmp.0";
+  // pointing it at /dev/full makes the open and the buffered write succeed
+  // and only the flush at close fail.
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full absent";
+  }
+  const std::string dir = ::testing::TempDir() + "/greenfpga_cache_store_full";
+  fs::remove_all(dir);
+  CacheStore store(dir);
+  ScenarioResult tiny;
+  tiny.spec.name = "tiny";
+  ASSERT_LT(canonical(tiny).size(), 4096u) << "the entry must fit the stream buffer";
+  const std::string final_path = store.path_for("small key");
+  fs::create_symlink("/dev/full", final_path + ".tmp.0");
+
+  EXPECT_FALSE(store.save("small key", tiny));
+  // Checked through the filesystem: load() would read /dev/full forever.
+  EXPECT_FALSE(fs::exists(fs::symlink_status(final_path)));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(final_path + ".tmp.0")));
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace greenfpga::scenario

@@ -108,10 +108,10 @@ TEST(Cli, CompareWritesMarkdownReportWithUncertainty) {
                         "| metric | value |\n"
                         "|---|---:|\n"
                         "| samples | 128 |\n"
-                        "| ratio mean | 1.235 |\n"
-                        "| ratio p05 | 1.141 |\n"
-                        "| ratio median | 1.241 |\n"
-                        "| ratio p95 | 1.301 |\n"
+                        "| ratio mean | 1.237 |\n"
+                        "| ratio p05 | 1.171 |\n"
+                        "| ratio median | 1.243 |\n"
+                        "| ratio p95 | 1.292 |\n"
                         "| FPGA wins | 0 % |\n"),
             std::string::npos)
       << report;

@@ -524,8 +524,8 @@ TEST(EngineFourWay, PointKindsEvaluateAllFourPlatforms) {
       spec.montecarlo.samples = 16;
     } else if (kind == ScenarioKind::frontier) {
       spec.frontier.axes = {
-          dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1, 4, 4),
-          dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e4, 1e6, 3)};
+          AxisSpec::linear(SweepVariable::app_count, 1, 4, 4),
+          AxisSpec::log(SweepVariable::volume, 1e4, 1e6, 3)};
     }
     const ScenarioResult result = engine.run(spec);
     ASSERT_EQ(result.platform_names.size(), 4u) << to_string(kind);

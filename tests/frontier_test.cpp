@@ -1,119 +1,143 @@
-/// Tests for the frontier DSE subsystem (src/dse/): spec JSON contract,
-/// grid materialisation, FrontierSearch winner/margin/boundary rules, the
-/// Monte-Carlo confidence pass, and the determinism contract (bit-identical
-/// results at any thread count).
+/// Tests for the frontier kind (src/scenario/kinds/frontier.cpp): the
+/// frontier section's JSON contract, grid materialisation, the search's
+/// winner/margin/slice/boundary rules, the node axis, spec validation, the
+/// Monte-Carlo confidence pass, and the determinism contract
+/// (bit-identical results at any thread count).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "core/paper_config.hpp"
+#include "core/config_io.hpp"
 #include "device/catalog.hpp"
-#include "device/platform_registry.hpp"
-#include "dse/frontier.hpp"
-#include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
 #include "scenario/engine.hpp"
-#include "scenario/node_dse.hpp"
 #include "scenario/result_io.hpp"
-#include "scenario/sensitivity.hpp"
+#include "scenario/spec.hpp"
 
-namespace greenfpga::dse {
+namespace greenfpga::scenario {
 namespace {
 
-FrontierSpec small_spec() {
-  FrontierSpec spec;
-  spec.axes = {FrontierAxisSpec::linear(FrontierVariable::app_count, 1, 4, 4),
-               FrontierAxisSpec::log(FrontierVariable::volume, 1e4, 1e6, 3)};
+FrontierSpec small_frontier() {
+  FrontierSpec frontier;
+  frontier.axes = {AxisSpec::linear(SweepVariable::app_count, 1, 4, 4),
+                   AxisSpec::log(SweepVariable::volume, 1e4, 1e6, 3)};
+  return frontier;
+}
+
+/// A 4 x 3 asic/fpga/gpu DNN frontier.
+ScenarioSpec small_spec() {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::frontier, device::Domain::dnn);
+  spec.name = "small frontier";
+  spec.platforms = {PlatformRef{.name = "asic"}, PlatformRef{.name = "fpga"},
+                    PlatformRef{.name = "gpu"}};
+  spec.frontier = small_frontier();
   return spec;
 }
 
-FrontierProblem small_problem(int threads = 1) {
-  FrontierProblem problem;
-  problem.frontier = small_spec();
-  const device::PlatformRegistry& registry = device::PlatformRegistry::builtins();
-  for (const std::string& name : {"asic", "fpga", "gpu"}) {
-    problem.platform_names.push_back(name);
-    problem.chips.push_back(registry.resolve(name, device::Domain::dnn));
+FrontierResult search(const ScenarioSpec& spec, int threads = 1) {
+  ScenarioResult result = Engine(EngineOptions{.threads = threads}).run(spec);
+  return std::move(*result.frontier);
+}
+
+std::string message_of(const ScenarioSpec& spec) {
+  try {
+    spec.validate();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
   }
-  problem.suite = core::paper_suite();
-  problem.threads = threads;
-  return problem;
+  return "";
 }
 
 // -- spec JSON contract -------------------------------------------------------
 
 TEST(FrontierSpecJson, RoundTripIsByteIdentical) {
-  FrontierSpec spec = small_spec();
-  spec.objective = FrontierObjective::embodied;
-  spec.confidence_samples = 32;
-  spec.seed = 9;
-  const io::Json json = frontier_spec_to_json(spec);
-  const FrontierSpec parsed = frontier_spec_from_json(json, "frontier");
-  EXPECT_EQ(frontier_spec_to_json(parsed).dump(), json.dump());
+  ScenarioSpec spec = small_spec();
+  spec.frontier.objective = FrontierObjective::embodied;
+  spec.frontier.confidence_samples = 32;
+  spec.frontier.seed = 9;
+  const io::Json json = spec_to_json(spec);
+  EXPECT_EQ(spec_to_json(spec_from_json(json)).dump(), json.dump());
 }
 
 TEST(FrontierSpecJson, NodeAxisRoundTripsAndRejectsNumericKeys) {
-  FrontierSpec spec;
-  spec.axes = {FrontierAxisSpec::linear(FrontierVariable::volume, 1e4, 1e6, 3),
-               FrontierAxisSpec::node_list({tech::ProcessNode::n28,
-                                            tech::ProcessNode::n7})};
-  const io::Json json = frontier_spec_to_json(spec);
-  const FrontierSpec parsed = frontier_spec_from_json(json, "frontier");
-  EXPECT_EQ(frontier_spec_to_json(parsed).dump(), json.dump());
+  ScenarioSpec spec = small_spec();
+  spec.frontier.axes = {
+      AxisSpec::linear(SweepVariable::volume, 1e4, 1e6, 3),
+      AxisSpec::node_list({tech::ProcessNode::n28, tech::ProcessNode::n7})};
+  const io::Json json = spec_to_json(spec);
+  // The node axis writes only its variable and node list.
+  const io::Json& node_axis = json.at("frontier").at("axes").at(1);
+  EXPECT_EQ(node_axis.size(), 2u);
+  EXPECT_EQ(node_axis.at("variable").as_string(), "node");
+  EXPECT_EQ(node_axis.at("nodes").at(1).as_string(), "7 nm");
+  EXPECT_EQ(spec_to_json(spec_from_json(json)).dump(), json.dump());
 
   // A node axis carrying numeric-axis keys is a config error.
-  io::Json bad = io::parse_json(
-      R"({"axes": [{"variable": "node", "from": 1.0}]})");
-  EXPECT_THROW((void)frontier_spec_from_json(bad, "frontier"), std::exception);
+  EXPECT_THROW((void)axis_from_json(io::parse_json(R"({"variable": "node", "from": 1.0})"),
+                                    "frontier.axes", true),
+               core::ConfigError);
+  // Sweep and grid axes keep rejecting the node variable and its key.
+  EXPECT_THROW((void)axis_from_json(io::parse_json(R"({"variable": "node"})"), "", false),
+               core::ConfigError);
+  EXPECT_THROW((void)axis_from_json(io::parse_json(R"({"variable": "volume", "nodes": []})"),
+                                    "", false),
+               core::ConfigError);
 }
 
 TEST(FrontierSpecJson, UnknownKeysAndBadShapesFail) {
-  EXPECT_THROW((void)frontier_spec_from_json(
-                   io::parse_json(R"({"bogus": 1})"), "frontier"),
-               std::exception);
-  // One axis only: validate() wants 2-4.
-  FrontierSpec one;
-  one.axes = {FrontierAxisSpec::linear(FrontierVariable::volume, 1e4, 1e6, 3)};
-  EXPECT_THROW(one.validate(), std::invalid_argument);
+  EXPECT_THROW((void)spec_from_json(io::parse_json(
+                   R"({"kind": "frontier", "frontier": {"bogus": 1}})")),
+               core::ConfigError);
+  // One axis only: the kind wants 2-4.
+  ScenarioSpec one = small_spec();
+  one.frontier.axes = {AxisSpec::linear(SweepVariable::volume, 1e4, 1e6, 3)};
+  EXPECT_NE(message_of(one).find("frontier.axes: needs 2-4 axes, got 1"),
+            std::string::npos);
   // Duplicate variables.
-  FrontierSpec dup;
-  dup.axes = {FrontierAxisSpec::linear(FrontierVariable::volume, 1e4, 1e6, 3),
-              FrontierAxisSpec::log(FrontierVariable::volume, 1e4, 1e6, 3)};
-  EXPECT_THROW(dup.validate(), std::invalid_argument);
+  ScenarioSpec dup = small_spec();
+  dup.frontier.axes = {AxisSpec::linear(SweepVariable::volume, 1e4, 1e6, 3),
+                       AxisSpec::log(SweepVariable::volume, 1e4, 1e6, 3)};
+  EXPECT_NE(message_of(dup).find("frontier.axes: duplicate axis over volume"),
+            std::string::npos);
+  // A node axis belongs to the frontier only.
+  ScenarioSpec sweep = ScenarioSpec::make(ScenarioKind::sweep, device::Domain::dnn);
+  sweep.axes = {AxisSpec::node_list({})};
+  EXPECT_NE(message_of(sweep).find("a node axis is only valid in frontier.axes"),
+            std::string::npos);
 }
 
 TEST(FrontierSpecAxes, ValuesMaterialiseLikeTheScenarioAxes) {
-  const FrontierAxisSpec lin =
-      FrontierAxisSpec::linear(FrontierVariable::app_count, 1, 4, 4);
+  const AxisSpec lin = AxisSpec::linear(SweepVariable::app_count, 1, 4, 4);
   EXPECT_EQ(lin.values(), (std::vector<double>{1, 2, 3, 4}));
-  const FrontierAxisSpec lg = FrontierAxisSpec::log(FrontierVariable::volume, 1e2, 1e4, 3);
+  const AxisSpec lg = AxisSpec::log(SweepVariable::volume, 1e2, 1e4, 3);
   const std::vector<double> logged = lg.values();
   ASSERT_EQ(logged.size(), 3u);
   EXPECT_DOUBLE_EQ(logged.front(), 1e2);
   EXPECT_DOUBLE_EQ(logged.back(), 1e4);  // endpoint snapped exactly
-  const FrontierAxisSpec nodes = FrontierAxisSpec::node_list({});
+  const AxisSpec nodes = AxisSpec::node_list({});
   EXPECT_EQ(nodes.materialised_nodes().size(), tech::all_nodes().size());
   EXPECT_EQ(nodes.values().size(), tech::all_nodes().size());
+  EXPECT_EQ(nodes.label(), "node [nm]");
 }
 
 // -- search structure ---------------------------------------------------------
 
 TEST(FrontierSearch, GridShapeWinnersAndWinFractionsAreConsistent) {
-  const FrontierResult result = FrontierSearch(small_problem()).run();
+  const FrontierResult result = search(small_spec());
   ASSERT_EQ(result.axis_values.size(), 2u);
   EXPECT_EQ(result.cells.size(), 12u);  // 4 x 3
   // Axis 0 is the fastest dimension.
   EXPECT_DOUBLE_EQ(result.cells[0].coords[0], 1.0);
   EXPECT_DOUBLE_EQ(result.cells[1].coords[0], 2.0);
   EXPECT_DOUBLE_EQ(result.cells[0].coords[1], result.cells[1].coords[1]);
-  EXPECT_EQ(result.cell_index({1, 2}), 2u * 4u + 1u);
+  EXPECT_DOUBLE_EQ(result.cells[2 * 4 + 1].coords[1], result.axis_values[1][2]);
 
   std::size_t total_wins = 0;
-  for (std::size_t p = 0; p < result.platform_names.size(); ++p) {
+  for (std::size_t p = 0; p < result.win_counts.size(); ++p) {
     total_wins += result.win_counts[p];
     EXPECT_DOUBLE_EQ(result.win_fraction[p],
                      static_cast<double>(result.win_counts[p]) /
@@ -133,7 +157,7 @@ TEST(FrontierSearch, GridShapeWinnersAndWinFractionsAreConsistent) {
 }
 
 TEST(FrontierSearch, SlicesCoverEveryAxisValue) {
-  const FrontierResult result = FrontierSearch(small_problem()).run();
+  const FrontierResult result = search(small_spec());
   ASSERT_EQ(result.slices.size(), 4u + 3u);
   for (const FrontierSlice& slice : result.slices) {
     double total = 0.0;
@@ -145,7 +169,7 @@ TEST(FrontierSearch, SlicesCoverEveryAxisValue) {
 }
 
 TEST(FrontierSearch, BoundariesSeparateAdjacentCellsWithDifferentWinners) {
-  const FrontierResult result = FrontierSearch(small_problem()).run();
+  const FrontierResult result = search(small_spec());
   // The paper's DNN deployment space has an asic/fpga breakeven inside
   // this window, so at least one boundary must exist.
   ASSERT_FALSE(result.boundaries.empty());
@@ -166,71 +190,64 @@ TEST(FrontierSearch, BoundariesSeparateAdjacentCellsWithDifferentWinners) {
 }
 
 TEST(FrontierSearch, ObjectiveSelectsTheComparedMetric) {
-  FrontierProblem embodied = small_problem();
+  ScenarioSpec embodied = small_spec();
   embodied.frontier.objective = FrontierObjective::embodied;
-  FrontierProblem operational = small_problem();
+  ScenarioSpec operational = small_spec();
   operational.frontier.objective = FrontierObjective::operational;
-  const FrontierResult em = FrontierSearch(std::move(embodied)).run();
-  const FrontierResult op = FrontierSearch(std::move(operational)).run();
   // Embodied excludes use-phase energy, operational excludes fab: the two
   // orderings cannot produce identical objective tables.
-  EXPECT_NE(em.cells.front().objective_kg, op.cells.front().objective_kg);
+  EXPECT_NE(search(embodied).cells.front().objective_kg,
+            search(operational).cells.front().objective_kg);
 }
 
-TEST(FrontierSearch, NodeAxisNeedsARetargetHookAndMarksInfeasibleCells) {
-  FrontierProblem problem = small_problem();
-  problem.frontier.axes = {
-      FrontierAxisSpec::linear(FrontierVariable::app_count, 1, 3, 3),
-      FrontierAxisSpec::node_list({tech::ProcessNode::n28, tech::ProcessNode::n7})};
-  EXPECT_THROW((void)FrontierSearch(problem), std::invalid_argument);
-
-  problem.retarget = [](const device::ChipSpec& chip, tech::ProcessNode node) {
-    return scenario::retarget_to_node(chip, node);
-  };
-  const FrontierResult result = FrontierSearch(std::move(problem)).run();
-  EXPECT_EQ(result.cells.size(), 6u);
+TEST(FrontierSearch, NodeAxisMarksUnbuildablePlatformsInfeasible) {
+  ScenarioSpec spec = small_spec();
+  spec.frontier.axes = {
+      AxisSpec::linear(SweepVariable::app_count, 1, 3, 3),
+      AxisSpec::node_list({tech::ProcessNode::n28, tech::ProcessNode::n7})};
+  const FrontierResult result = search(spec);
+  ASSERT_EQ(result.cells.size(), 6u);
   for (const FrontierCell& cell : result.cells) {
-    EXPECT_GE(cell.winner, 0);  // both nodes feasible for these dies
+    EXPECT_GE(cell.winner, 0);  // the ASIC is feasible on both nodes
+    // The 600 mm^2 DNN FPGA exceeds the reticle at 28 nm only.
+    EXPECT_EQ(std::isinf(cell.objective_kg[1]), cell.coords[1] == 28.0);
   }
 }
 
 TEST(FrontierSearch, ValidationRejectsBadProblems) {
-  FrontierProblem one_platform = small_problem();
-  one_platform.platform_names = {"asic"};
-  one_platform.chips.resize(1);
-  EXPECT_THROW((void)FrontierSearch(std::move(one_platform)), std::invalid_argument);
+  // Rejected as a spec error, before any evaluation.
+  ScenarioSpec one_platform = small_spec();
+  one_platform.platforms = {PlatformRef{.name = "asic"}};
+  EXPECT_NE(message_of(one_platform).find("platforms: a frontier needs at least two, got 1"),
+            std::string::npos);
+  EXPECT_THROW((void)Engine(EngineOptions{.threads = 1}).run(one_platform),
+               std::invalid_argument);
 
-  FrontierProblem misaligned = small_problem();
-  misaligned.chips.pop_back();
-  EXPECT_THROW((void)FrontierSearch(std::move(misaligned)), std::invalid_argument);
+  ScenarioSpec bad_axis = small_spec();
+  bad_axis.frontier.axes[1] = AxisSpec::list(SweepVariable::volume, {1e4, 0.0});
+  EXPECT_NE(message_of(bad_axis).find("frontier.axes: axis volume values must be positive"),
+            std::string::npos);
 }
 
 // -- confidence pass ----------------------------------------------------------
 
-FrontierProblem confidence_problem(int threads) {
-  FrontierProblem problem = small_problem(threads);
-  problem.frontier.confidence_samples = 16;
-  problem.frontier.seed = 5;
-  for (const scenario::ParameterRange& range : scenario::table1_ranges()) {
-    SampledParameter sampled;
-    sampled.distribution = core::ParamDistribution{
-        .parameter = range.name, .low = range.low, .high = range.high};
-    sampled.apply = range.apply;
-    problem.sampled.push_back(std::move(sampled));
-  }
-  return problem;
+ScenarioSpec confidence_spec() {
+  ScenarioSpec spec = small_spec();
+  spec.frontier.confidence_samples = 16;
+  spec.frontier.seed = 5;
+  return spec;  // montecarlo.distributions: uniform over every Table 1 range
 }
 
 TEST(FrontierConfidence, FractionsAreInRangeAndSeedDependent) {
-  const FrontierResult result = FrontierSearch(confidence_problem(1)).run();
+  const FrontierResult result = search(confidence_spec());
   EXPECT_EQ(result.confidence_samples, 16);
   for (const FrontierCell& cell : result.cells) {
     EXPECT_GE(cell.confidence, 0.0);
     EXPECT_LE(cell.confidence, 1.0);
   }
-  FrontierProblem reseeded = confidence_problem(1);
+  ScenarioSpec reseeded = confidence_spec();
   reseeded.frontier.seed = 6;
-  const FrontierResult other = FrontierSearch(std::move(reseeded)).run();
+  const FrontierResult other = search(reseeded);
   // Same point estimates, possibly different confidence: at minimum the
   // grids agree on winners.
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
@@ -241,26 +258,19 @@ TEST(FrontierConfidence, FractionsAreInRangeAndSeedDependent) {
 // -- determinism --------------------------------------------------------------
 
 TEST(FrontierDeterminism, BitIdenticalAcrossThreadCounts) {
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::make(scenario::ScenarioKind::frontier, device::Domain::dnn);
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::frontier, device::Domain::dnn);
   spec.name = "frontier determinism pin";
-  spec.platforms = {scenario::PlatformRef{.name = "asic"},
-                    scenario::PlatformRef{.name = "fpga"},
-                    scenario::PlatformRef{.name = "gpu"},
-                    scenario::PlatformRef{.name = "cpu"}};
+  spec.platforms = {PlatformRef{.name = "asic"}, PlatformRef{.name = "fpga"},
+                    PlatformRef{.name = "gpu"}, PlatformRef{.name = "cpu"}};
   spec.frontier.confidence_samples = 12;
   const std::string baseline =
-      scenario::result_to_json(
-          scenario::Engine(scenario::EngineOptions{.threads = 1}).run(spec))
-          .dump();
+      result_to_json(Engine(EngineOptions{.threads = 1}).run(spec)).dump();
   for (const int threads : {2, 8}) {
     const std::string other =
-        scenario::result_to_json(
-            scenario::Engine(scenario::EngineOptions{.threads = threads}).run(spec))
-            .dump();
+        result_to_json(Engine(EngineOptions{.threads = threads}).run(spec)).dump();
     EXPECT_EQ(other, baseline) << threads << " threads";
   }
 }
 
 }  // namespace
-}  // namespace greenfpga::dse
+}  // namespace greenfpga::scenario

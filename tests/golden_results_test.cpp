@@ -87,8 +87,8 @@ ScenarioSpec spec_for(ScenarioKind kind) {
       spec.platforms = {PlatformRef{.name = "asic"}, PlatformRef{.name = "fpga"},
                         PlatformRef{.name = "gpu"}, PlatformRef{.name = "cpu"}};
       spec.frontier.axes = {
-          dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1, 4, 4),
-          dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e4, 1e6, 3)};
+          AxisSpec::linear(SweepVariable::app_count, 1, 4, 4),
+          AxisSpec::log(SweepVariable::volume, 1e4, 1e6, 3)};
       spec.frontier.confidence_samples = 8;
       spec.frontier.seed = 11;
       return spec;
@@ -161,6 +161,45 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, GoldenResults,
                          [](const ::testing::TestParamInfo<ScenarioKind>& info) {
                            return to_string(info.param);
                          });
+
+/// A volume x node frontier with a confidence pass.  The per-kind spec
+/// above covers app_count x volume only; this one pins the node axis, its
+/// JSON form, and a platform that cannot be built on every node (the
+/// 600 mm^2 DNN FPGA does not fit the reticle at 28 nm).
+ScenarioSpec frontier_node_spec() {
+  ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::frontier, device::Domain::dnn);
+  spec.name = "golden frontier node";
+  spec.platforms = {PlatformRef{.name = "asic"}, PlatformRef{.name = "fpga"},
+                    PlatformRef{.name = "gpu"}};
+  spec.frontier.axes = {
+      AxisSpec::log(SweepVariable::volume, 1e4, 1e6, 3),
+      AxisSpec::node_list(
+          {tech::ProcessNode::n28, tech::ProcessNode::n14, tech::ProcessNode::n7,
+           tech::ProcessNode::n5})};
+  spec.frontier.confidence_samples = 6;
+  spec.frontier.seed = 13;
+  return spec;
+}
+
+TEST(GoldenResults, FrontierNodeAxisMatchesSnapshot) {
+  // Through the spec JSON, so the node-axis reader and writer are pinned too.
+  const ScenarioSpec spec = spec_from_json(spec_to_json(frontier_node_spec()));
+  const ScenarioResult result = Engine(EngineOptions{.threads = 1}).run(spec);
+  ASSERT_TRUE(result.frontier.has_value());
+  bool some_platform_infeasible = false;
+  for (const auto& cell : result.frontier->cells) {
+    for (const double objective : cell.objective_kg) {
+      some_platform_infeasible = some_platform_infeasible || !std::isfinite(objective);
+    }
+  }
+  EXPECT_TRUE(some_platform_infeasible);
+  const io::Json json = result_to_json(result);
+  EXPECT_EQ(result_to_json(Engine(EngineOptions{.threads = 4}).run(spec)).dump(),
+            json.dump());
+  // Compared in its parsed text form: infeasible cells hold +inf, which the
+  // canonical writer encodes as a string sentinel.
+  check_against_golden("result_frontier_node", io::parse_json(json.dump()));
+}
 
 TEST(GoldenResults, FrameLoweringShapes) {
   EXPECT_EQ(to_frames(run_kind(ScenarioKind::compare)).front().rows.size(), 3u);

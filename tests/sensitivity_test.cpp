@@ -1,9 +1,18 @@
-/// Tests for the Table 1 sensitivity machinery (tornado + Monte Carlo).
+/// Tests for the Table 1 sensitivity machinery (tornado + Monte Carlo)
+/// and the ParameterSampler every Monte-Carlo pass draws through.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/config_io.hpp"
 #include "core/paper_config.hpp"
+#include "core/param_distributions.hpp"
 #include "device/catalog.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/sensitivity.hpp"
 #include "units/units.hpp"
 
@@ -121,6 +130,69 @@ TEST(MonteCarlo, CryptoWinsRobustly) {
 TEST(MonteCarlo, InvalidSampleCountThrows) {
   EXPECT_THROW(monte_carlo(core::paper_suite(), device::domain_testcase(Domain::dnn),
                            core::paper_schedule(Domain::dnn), table1_ranges(), 0),
+               std::invalid_argument);
+}
+
+TEST(MonteCarlo, EqualsAHandWrittenCounterStreamLoop) {
+  // Sample i sets range j to low + u * (high - low) with
+  // u = counter_uniform01(seed, i, j).  No standard-library distribution
+  // takes part, so the numbers are the same on every toolchain.
+  const auto testcase = device::domain_testcase(Domain::imgproc);
+  const auto schedule = core::paper_schedule(Domain::imgproc);
+  const std::vector<ParameterRange> ranges = table1_ranges();
+  constexpr int kSamples = 48;
+  constexpr unsigned kSeed = 7;
+  std::vector<double> ratios;
+  int wins = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    core::ModelSuite suite = core::paper_suite();
+    for (std::size_t j = 0; j < ranges.size(); ++j) {
+      const double u = core::counter_uniform01(kSeed, static_cast<std::uint64_t>(i), j);
+      ranges[j].apply(suite, ranges[j].low + u * (ranges[j].high - ranges[j].low));
+    }
+    ratios.push_back(core::compare(core::LifecycleModel(suite), testcase, schedule).ratio());
+    wins += ratios.back() < 1.0 ? 1 : 0;
+  }
+  const UqStat expected = summarise_samples(ratios, {5.0, 50.0, 95.0});
+
+  const MonteCarloResult result =
+      monte_carlo(core::paper_suite(), testcase, schedule, ranges, kSamples, kSeed);
+  EXPECT_EQ(result.mean, expected.mean);
+  EXPECT_EQ(result.stddev, expected.stddev);
+  EXPECT_EQ(result.p05, expected.percentile_values[0]);
+  EXPECT_EQ(result.p50, expected.percentile_values[1]);
+  EXPECT_EQ(result.p95, expected.percentile_values[2]);
+  EXPECT_EQ(result.fpga_win_fraction, static_cast<double>(wins) / kSamples);
+}
+
+TEST(ParameterSampler, DrawMatchesTheCounterStream) {
+  // Out of table order and of every family, so each dimension must find
+  // its applier by name and its variate by position.
+  const std::vector<core::ParamDistribution> distributions{
+      core::ParamDistribution::normal("E_des [GWh]", 4.0, 1.0, 2.0, 7.3),
+      core::ParamDistribution::triangular("rho (recycled materials)", 0.0, 0.3, 1.0),
+      core::ParamDistribution::uniform("T_proj [years]", 1.0, 3.0)};
+  const ParameterSampler sampler(distributions);
+  const std::vector<ParameterRange> ranges = table1_ranges();
+  const auto applier = [&ranges](const std::string& name) {
+    return std::find_if(ranges.begin(), ranges.end(),
+                        [&name](const ParameterRange& range) { return range.name == name; })
+        ->apply;
+  };
+  constexpr std::uint64_t kSeed = 9;
+  const std::string base = core::to_json(core::paper_suite()).dump();
+  for (const std::uint64_t index : {0u, 1u, 17u}) {
+    core::ModelSuite drawn = core::paper_suite();
+    sampler.draw(kSeed, index, drawn);
+    core::ModelSuite expected = core::paper_suite();
+    for (std::size_t j = 0; j < distributions.size(); ++j) {
+      applier(distributions[j].parameter)(
+          expected, distributions[j].sample(core::counter_uniform01(kSeed, index, j)));
+    }
+    EXPECT_EQ(core::to_json(drawn).dump(), core::to_json(expected).dump()) << index;
+    EXPECT_NE(core::to_json(drawn).dump(), base) << index;
+  }
+  EXPECT_THROW(ParameterSampler({core::ParamDistribution::uniform("bogus", 0.0, 1.0)}),
                std::invalid_argument);
 }
 

@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "dse/frontier_spec.hpp"
 #include "io/json.hpp"
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
@@ -69,8 +68,8 @@ ScenarioSpec spec_for(ScenarioKind kind) {
                         scenario::PlatformRef{.name = "gpu"},
                         scenario::PlatformRef{.name = "cpu"}};
       spec.frontier.axes = {
-          dse::FrontierAxisSpec::linear(dse::FrontierVariable::app_count, 1, 3, 3),
-          dse::FrontierAxisSpec::log(dse::FrontierVariable::volume, 1e5, 1e6, 2)};
+          scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 3, 3),
+          scenario::AxisSpec::log(scenario::SweepVariable::volume, 1e5, 1e6, 2)};
       spec.frontier.confidence_samples = 4;
       break;
     case ScenarioKind::fleet:

@@ -171,17 +171,17 @@ ScenarioSpec random_spec(ScenarioKind kind, std::mt19937& rng) {
   if (kind == ScenarioKind::frontier) {
     // Always the two paper deployment axes, plus coin-flipped lifetime
     // and node axes: 2-4 distinct variables, every generator shape.
-    std::vector<dse::FrontierVariable> chosen{dse::FrontierVariable::app_count,
-                                              dse::FrontierVariable::volume};
+    std::vector<SweepVariable> chosen{SweepVariable::app_count,
+                                              SweepVariable::volume};
     if (coin(rng)) {
-      chosen.push_back(dse::FrontierVariable::lifetime_years);
+      chosen.push_back(SweepVariable::lifetime_years);
     }
     if (coin(rng)) {
-      chosen.push_back(dse::FrontierVariable::node);
+      chosen.push_back(SweepVariable::node);
     }
     spec.frontier.axes.clear();
-    for (const dse::FrontierVariable variable : chosen) {
-      if (variable == dse::FrontierVariable::node) {
+    for (const SweepVariable variable : chosen) {
+      if (variable == SweepVariable::node) {
         std::vector<tech::ProcessNode> nodes;
         for (const tech::ProcessNode node : tech::all_nodes()) {
           if (coin(rng)) {
@@ -189,13 +189,13 @@ ScenarioSpec random_spec(ScenarioKind kind, std::mt19937& rng) {
           }
         }
         spec.frontier.axes.push_back(
-            dse::FrontierAxisSpec::node_list(std::move(nodes)));
+            AxisSpec::node_list(std::move(nodes)));
       } else if (coin(rng)) {
-        spec.frontier.axes.push_back(dse::FrontierAxisSpec::linear(
+        spec.frontier.axes.push_back(AxisSpec::linear(
             variable, uniform(rng, 0.5, 10.0), uniform(rng, 10.0, 1e6),
             uniform_int(rng, 2, 12)));
       } else if (coin(rng)) {
-        spec.frontier.axes.push_back(dse::FrontierAxisSpec::log(
+        spec.frontier.axes.push_back(AxisSpec::log(
             variable, uniform(rng, 0.5, 100.0), uniform(rng, 100.0, 1e6),
             uniform_int(rng, 2, 12)));
       } else {
@@ -205,12 +205,17 @@ ScenarioSpec random_spec(ScenarioKind kind, std::mt19937& rng) {
           values.push_back(uniform(rng, 0.5, 1e6));
         }
         spec.frontier.axes.push_back(
-            dse::FrontierAxisSpec::list(variable, std::move(values)));
+            AxisSpec::list(variable, std::move(values)));
       }
     }
     spec.frontier.objective =
-        static_cast<dse::FrontierObjective>(uniform_int(rng, 0, 2));
+        static_cast<FrontierObjective>(uniform_int(rng, 0, 2));
     spec.frontier.confidence_samples = uniform_int(rng, 0, 64);
+    // A frontier compares at least two platforms; an empty list defaults
+    // to asic + fpga.
+    if (spec.platforms.size() == 1) {
+      spec.platforms.clear();
+    }
     spec.frontier.seed = static_cast<unsigned>(uniform_int(rng, 0, 1 << 30));
   }
 
