@@ -395,18 +395,15 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "cache",
       .name = "hit",
-      .description = "ResultCache::lookup hit over 512 resident keys (content-"
-                     "addressed LRU, one shared result)",
+      .description = "BodyCache::lookup hit over 512 resident keys (content-"
+                     "addressed LRU, one shared body)",
       .setup = [] {
-        auto cache = std::make_shared<scenario::ResultCache>(1024);
-        const scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(
-            scenario::ScenarioKind::compare, device::Domain::dnn);
-        auto result = std::make_shared<const scenario::ScenarioResult>(
-            single_thread_engine().run(spec));
+        auto cache = std::make_shared<scenario::BodyCache>(1024);
+        const auto body = std::make_shared<const std::string>("{}\n");
         auto keys = std::make_shared<std::vector<std::string>>();
         for (int i = 0; i < 512; ++i) {
           keys->push_back("bench-key-" + std::to_string(i));
-          cache->insert(keys->back(), result);
+          cache->insert(keys->back(), body);
         }
         auto next = std::make_shared<std::size_t>(0);
         return PreparedCase{.op =
@@ -423,16 +420,13 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "cache",
       .name = "miss",
-      .description = "ResultCache::lookup miss (absent keys against 512 resident "
+      .description = "BodyCache::lookup miss (absent keys against 512 resident "
                      "entries)",
       .setup = [] {
-        auto cache = std::make_shared<scenario::ResultCache>(1024);
-        const scenario::ScenarioSpec spec = scenario::ScenarioSpec::make(
-            scenario::ScenarioKind::compare, device::Domain::dnn);
-        auto result = std::make_shared<const scenario::ScenarioResult>(
-            single_thread_engine().run(spec));
+        auto cache = std::make_shared<scenario::BodyCache>(1024);
+        const auto body = std::make_shared<const std::string>("{}\n");
         for (int i = 0; i < 512; ++i) {
-          cache->insert("bench-key-" + std::to_string(i), result);
+          cache->insert("bench-key-" + std::to_string(i), body);
         }
         auto keys = std::make_shared<std::vector<std::string>>();
         for (int i = 0; i < 512; ++i) {

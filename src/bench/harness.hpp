@@ -110,7 +110,7 @@ struct Environment {
 /// The built-in case registry: the five hot paths tracked per-PR --
 /// engine (50x50 heat-map grid), mc (Monte-Carlo sampling), batch
 /// (mixed-fleet run_batch), json (parse/dump of a large canonical
-/// result), cache (ResultCache hit/miss).  Deterministic order (artifact
+/// result), cache (BodyCache hit/miss).  Deterministic order (artifact
 /// files list cases in registry order).
 [[nodiscard]] std::vector<BenchCase> builtin_cases();
 

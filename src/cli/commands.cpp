@@ -417,18 +417,18 @@ int print_usage(std::ostream& out, bool error = true) {
          "      run the persistent HTTP/1.1 evaluation daemon: POST /v1/run and\n"
          "      /v1/batch take spec JSON and answer the canonical result JSON\n"
          "      (byte-identical to `run --format json`), served through a\n"
-         "      content-addressed LRU result cache (GET /v1/stats for hit/miss\n"
+         "      content-addressed LRU of rendered bodies (GET /v1/stats for hit/miss\n"
          "      counters, GET /v1/platforms, GET /healthz; default port 8080,\n"
          "      --port 0 picks an ephemeral port, loopback-only by default)\n"
          "  greenfpga batch <manifest.json|directory> [--validate]\n"
          "      evaluate many specs as one batch on the worker pool; writes one\n"
          "      result JSON per spec plus an aggregate index to the --output\n"
          "      directory (default batch_results); --validate re-reads every\n"
-         "      emitted JSON and fails unless it round-trips canonically\n"
+         "      emitted JSON and fails unless it re-dumps to the canonical bytes\n"
          "  greenfpga bench [--filter RE] [--quick] [--list] [--out <path>]\n"
          "                  [--compare <baseline>]... [--max-regression X]\n"
          "      run the built-in micro-benchmark cases (engine grid, Monte-Carlo\n"
-         "      sampler, batch pool, JSON codec, result cache); --out writes one\n"
+         "      sampler, batch pool, JSON codec, body cache); --out writes one\n"
          "      canonical BENCH_<group>.json per case group; --compare checks the\n"
          "      medians against checked-in baselines (file or directory) and exits\n"
          "      non-zero naming each case slower than --max-regression times its\n"
@@ -1001,18 +1001,13 @@ int run_batch(const CommandContext& context, const Args& args, std::ostream& out
   }
 
   if (args.has("--validate")) {
-    for (const std::string& filename : filenames) {
-      const std::string path = (fs::path(out_dir) / filename).string();
-      const io::Json written = io::parse_json_file(path);
-      const io::Json reserialized =
-          scenario::result_to_json(scenario::result_from_json(written));
-      // Byte-compare the canonical compact forms (appended in place --
-      // no per-spec multi-MB pretty temporaries as before).
-      std::string written_text;
-      written.dump_to(written_text, 0);
-      std::string reserialized_text;
-      reserialized.dump_to(reserialized_text, 0);
-      if (written_text != reserialized_text) {
+    // Each written file must parse, and its canonical compact dump must
+    // equal the in-memory result's: the text is a fixed point of the
+    // writer, so no result reader is needed to check it.
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const std::string path = (fs::path(out_dir) / filenames[i]).string();
+      if (io::parse_json_file(path).dump(0) !=
+          scenario::result_to_json(results[i]).dump(0)) {
         throw CliError("batch: result '" + path + "' failed the canonical round-trip", 1);
       }
     }

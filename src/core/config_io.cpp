@@ -435,59 +435,6 @@ Json to_json(const CfpBreakdown& breakdown) {
   return out;
 }
 
-CfpBreakdown breakdown_from_json(const Json& json) {
-  check_keys(json, "breakdown",
-             {"design_kg", "manufacturing_kg", "packaging_kg", "eol_kg",
-              "operational_kg", "app_dev_kg", "embodied_kg", "total_kg"});
-  // Total reads (non-finite sentinels decoded): breakdowns are *result*
-  // payload written by the canonical writer, never hand-authored config.
-  const auto component = [&json](std::string_view key) {
-    return units::CarbonMass(json.contains(key) ? json.at(key).as_number_total() : 0.0);
-  };
-  CfpBreakdown breakdown;
-  breakdown.design = component("design_kg");
-  breakdown.manufacturing = component("manufacturing_kg");
-  breakdown.packaging = component("packaging_kg");
-  breakdown.eol = component("eol_kg");
-  breakdown.operational = component("operational_kg");
-  breakdown.app_dev = component("app_dev_kg");
-  return breakdown;
-}
-
-PlatformCfp platform_cfp_from_json(const Json& json) {
-  check_keys(json, "platform result",
-             {"kind", "chips_manufactured", "total", "per_application"});
-  PlatformCfp platform;
-  const std::string kind = json.string_or("kind", "ASIC");
-  if (kind == "ASIC") {
-    platform.kind = device::ChipKind::asic;
-  } else if (kind == "FPGA") {
-    platform.kind = device::ChipKind::fpga;
-  } else if (kind == "GPU") {
-    platform.kind = device::ChipKind::gpu;
-  } else if (kind == "CPU") {
-    platform.kind = device::ChipKind::cpu;
-  } else {
-    throw ConfigError(
-        "platform result kind must be \"ASIC\", \"FPGA\", \"GPU\" or \"CPU\", got \"" +
-        kind + "\"");
-  }
-  platform.chips_manufactured = json.number_or("chips_manufactured", 0.0);
-  platform.total = breakdown_from_json(json.at("total"));
-  if (json.contains("per_application")) {
-    for (const Json& entry : json.at("per_application").as_array()) {
-      check_keys(entry, "per_application", {"application", "chips_per_unit", "cfp"});
-      ApplicationCfp app;
-      app.application = entry.string_or("application", "");
-      app.chips_per_unit =
-          static_cast<int>(int_field_or(entry, "chips_per_unit", 1, 0, 1'000'000'000));
-      app.cfp = breakdown_from_json(entry.at("cfp"));
-      platform.per_application.push_back(std::move(app));
-    }
-  }
-  return platform;
-}
-
 Json to_json(const PlatformCfp& platform) {
   Json out = Json::object();
   out["kind"] = to_string(platform.kind);

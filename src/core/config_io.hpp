@@ -69,13 +69,6 @@ void check_known_keys(const io::Json& json, const std::string& context,
 [[nodiscard]] workload::Application application_from_json(const io::Json& json);
 [[nodiscard]] workload::Schedule schedule_from_json(const io::Json& json);
 [[nodiscard]] ScenarioConfig scenario_from_json(const io::Json& json);
-/// Inverse of `to_json(CfpBreakdown)`: reads the six component fields
-/// (derived embodied/total keys are accepted and ignored -- they are
-/// recomputed, so `to_json(breakdown_from_json(x)) == x` holds for any
-/// writer output).
-[[nodiscard]] CfpBreakdown breakdown_from_json(const io::Json& json);
-/// Inverse of `to_json(PlatformCfp)`.
-[[nodiscard]] PlatformCfp platform_cfp_from_json(const io::Json& json);
 
 /// Load a scenario file (JSON with // comments allowed).
 [[nodiscard]] ScenarioConfig load_scenario(const std::string& path);

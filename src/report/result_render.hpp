@@ -11,8 +11,8 @@
 ///                   tables, and the ASCII charts (heat-map shading, ratio
 ///                   CDF) that have no machine equivalent;
 ///   * `json`     -- the canonical result JSON (`scenario::result_to_json`),
-///                   byte-identical across thread counts and round-trippable
-///                   through `result_from_json`;
+///                   byte-identical across thread counts and to the
+///                   `greenfpga serve` `/v1/run` body;
 ///   * `csv`      -- RFC 4180 frames (one header + data block per frame,
 ///                   `# <name>` separators when there are several);
 ///   * `markdown` -- GitHub-flavoured tables.

@@ -1,19 +1,15 @@
 /// \file cache_store.cpp
-/// Content-addressed on-disk result entries: temp-write + rename, verify
-/// the embedded key on load.
+/// Content-addressed on-disk body entries: temp-write + rename, compare
+/// the key line on load.
 
 #include "scenario/cache_store.hpp"
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "io/hash.hpp"
-#include "io/json.hpp"
-#include "scenario/engine.hpp"
-#include "scenario/result_io.hpp"
 
 namespace greenfpga::scenario {
 
@@ -35,11 +31,8 @@ std::string CacheStore::path_for(const std::string& key) const {
   return (fs::path(directory_) / (io::hex64(io::fnv1a64(key)) + ".json")).string();
 }
 
-bool CacheStore::save(const std::string& key, const ScenarioResult& result) noexcept {
+bool CacheStore::save(const std::string& key, const std::string& body) noexcept {
   try {
-    io::Json entry = io::Json::object();
-    entry["key"] = key;
-    entry["result"] = result_to_json(result);
     const std::string final_path = path_for(key);
     const std::string temp_path =
         final_path + ".tmp." +
@@ -49,10 +42,9 @@ bool CacheStore::save(const std::string& key, const ScenarioResult& result) noex
       if (!out) {
         return false;
       }
-      std::string text;
-      entry.dump_to(text, 0);
-      text.push_back('\n');
-      out << text;
+      out.write(key.data(), static_cast<std::streamsize>(key.size()));
+      out.put('\n');
+      out.write(body.data(), static_cast<std::streamsize>(body.size()));
       // A small entry sits in the stream buffer until close() flushes it,
       // so only the stream state after the close says it reached the disk.
       out.close();
@@ -73,24 +65,30 @@ bool CacheStore::save(const std::string& key, const ScenarioResult& result) noex
   }
 }
 
-std::shared_ptr<const ScenarioResult> CacheStore::load(
-    const std::string& key) const noexcept {
+std::shared_ptr<const std::string> CacheStore::load(const std::string& key) const noexcept {
   try {
-    std::ifstream in(path_for(key), std::ios::binary);
+    std::ifstream in(path_for(key), std::ios::binary | std::ios::ate);
     if (!in) {
       return nullptr;  // not persisted (the common cold-key case)
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    const io::Json entry = io::parse_json(text.str());
-    if (!entry.is_object() || !entry.contains("key") ||
-        entry.at("key").as_string() != key) {
-      return nullptr;  // fingerprint collision or foreign file
+    const std::streamoff size = in.tellg();
+    const auto head = static_cast<std::streamoff>(key.size() + 1);
+    if (size <= head) {
+      return nullptr;  // too short for this key line plus a body
     }
-    return std::make_shared<const ScenarioResult>(
-        result_from_json(entry.at("result")));
+    in.seekg(0);
+    std::string line(key.size() + 1, '\0');
+    if (!in.read(line.data(), head) || line.back() != '\n' ||
+        line.compare(0, key.size(), key) != 0) {
+      return nullptr;  // fingerprint collision, foreign or older-format file
+    }
+    auto body = std::make_shared<std::string>(static_cast<std::size_t>(size - head), '\0');
+    if (!in.read(body->data(), size - head)) {
+      return nullptr;
+    }
+    return body;
   } catch (...) {
-    return nullptr;  // unparsable / truncated / schema drift: just a miss
+    return nullptr;
   }
 }
 

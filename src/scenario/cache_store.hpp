@@ -2,23 +2,24 @@
 #define GREENFPGA_SCENARIO_CACHE_STORE_HPP
 
 /// \file cache_store.hpp
-/// Content-addressed disk persistence for cached scenario results.
+/// Content-addressed disk persistence for cached response bodies.
 ///
-/// `greenfpga serve` keeps its hot set in the in-memory `ResultCache`; a
-/// restart used to start cold.  The store writes each cached result to
+/// `greenfpga serve` keeps its hot set in the in-memory `BodyCache`; a
+/// restart used to start cold.  The store writes each cached body to
 /// `<dir>/<hex64-fnv1a-of-key>.json` so a restarted daemon re-answers a
 /// previously evaluated spec from disk (and re-promotes it to memory)
 /// instead of re-running the engine.
 ///
-/// The file name is only the 64-bit *fingerprint* of the content key
-/// (io::content_digest's hex), which is not collision-proof, so every
-/// file embeds the full key and `load` verifies it: a fingerprint
-/// collision -- like a truncated, corrupted or hand-edited file -- is
-/// treated as a miss, never as a wrong answer.  Bodies are the canonical
-/// `result_to_json` form, so a disk hit is byte-identical to a fresh
-/// evaluation.  Writes go to a unique temp file and rename into place
-/// (atomic within one directory): readers never observe a half-written
-/// entry, even across a crash.
+/// A file is the full content key on its first line, then the body
+/// verbatim.  The key is compact canonical JSON, which holds no raw
+/// newline, so the first line is unambiguous.  The file name is only the
+/// 64-bit *fingerprint* of the key (io::content_digest's hex), which is
+/// not collision-proof, so `load` compares the key line: a fingerprint
+/// collision -- like a foreign, empty or hand-edited file, or an entry in
+/// an older format -- is a miss, never a wrong answer.  A disk hit is a
+/// file read plus that compare; nothing is parsed.  Writes go to a unique
+/// temp file and rename into place (atomic within one directory): readers
+/// never observe a half-written entry, even across a crash.
 ///
 /// The store is append-only from the daemon's point of view: eviction
 /// from the memory tier does not unlink files (disk is the durable tier;
@@ -33,8 +34,6 @@
 
 namespace greenfpga::scenario {
 
-struct ScenarioResult;
-
 class CacheStore {
  public:
   /// Persist under `directory`, created (with parents) if absent.
@@ -46,14 +45,13 @@ class CacheStore {
   /// Where `key`'s entry lives (exposed for tests and operators).
   [[nodiscard]] std::string path_for(const std::string& key) const;
 
-  /// Write `key -> result` durably.  Best-effort: returns false (and
+  /// Write `key -> body` durably.  Best-effort: returns false (and
   /// leaves no partial file visible) on any IO failure.
-  bool save(const std::string& key, const ScenarioResult& result) noexcept;
+  bool save(const std::string& key, const std::string& body) noexcept;
 
-  /// The stored result for `key`, or nullptr when absent, unreadable,
-  /// corrupt, or recorded under a different full key (fingerprint
-  /// collision).  Never throws.
-  [[nodiscard]] std::shared_ptr<const ScenarioResult> load(
+  /// The stored body for `key`, or nullptr when absent, unreadable,
+  /// empty, or recorded under a different full key.  Never throws.
+  [[nodiscard]] std::shared_ptr<const std::string> load(
       const std::string& key) const noexcept;
 
   [[nodiscard]] const std::string& directory() const { return directory_; }

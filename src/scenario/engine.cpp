@@ -11,23 +11,14 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "act/grid_profile.hpp"
 #include "core/config_io.hpp"
 #include "core/parallel.hpp"
 #include "scenario/kind_registry.hpp"
-#include "scenario/result_cache.hpp"
 
 namespace greenfpga::scenario {
-
-/// Spec validation + platform resolution + grid-profile application: the
-/// shared front half of every entry point.
-struct Engine::PreparedRun {
-  ScenarioResult result;   ///< spec as run, platform names, resolved chips
-  core::ModelSuite suite;  ///< effective suite (grid profile applied)
-};
 
 namespace {
 
@@ -160,8 +151,7 @@ Heatmap ScenarioResult::heatmap() const {
 Engine::Engine(EngineOptions options)
     : threads_(options.threads > 0 ? std::min(options.threads, kMaxThreads)
                                    : default_threads()),
-      registry_(options.registry),
-      cache_(options.cache) {}
+      registry_(options.registry) {}
 
 int Engine::default_threads() {
   if (const char* env = std::getenv("GREENFPGA_THREADS")) {
@@ -205,18 +195,8 @@ Engine::PreparedRun Engine::prepare(const ScenarioSpec& spec) const {
   return prepared;
 }
 
-namespace {
-
-/// The content-address of a prepared evaluation: compact canonical JSON
-/// of the as-run spec (platforms defaulted, suite embedded) plus the
-/// registry-resolved chips.  Everything the engine's deterministic answer
-/// depends on is in these bytes.
-struct ContentKey {
-  std::string bytes;
-  std::uint64_t fingerprint = 0;  ///< FNV-1a of `bytes`
-};
-
-ContentKey content_key(const ScenarioResult& resolved) {
+Engine::ContentKey Engine::content_key(const PreparedRun& prepared) {
+  const ScenarioResult& resolved = prepared.result;
   io::Json key = io::Json::object();
   key["spec"] = spec_to_json(resolved.spec);
   io::Json chips = io::Json::array();
@@ -229,41 +209,15 @@ ContentKey content_key(const ScenarioResult& resolved) {
   return out;
 }
 
-}  // namespace
-
 std::string Engine::cache_key(const ScenarioSpec& spec) const {
-  return content_key(prepare(spec).result).bytes;
+  return content_key(prepare(spec)).bytes;
 }
 
 ScenarioResult Engine::run(const ScenarioSpec& spec) const {
-  if (cache_ != nullptr) {
-    return *run_cached(spec).result;
-  }
-  return run_prepared(prepare(spec));
+  return run(prepare(spec));
 }
 
-Engine::CachedRun Engine::run_cached(const ScenarioSpec& spec) const {
-  PreparedRun prepared = prepare(spec);
-  CachedRun outcome;
-  ContentKey key = content_key(prepared.result);
-  outcome.key = std::move(key.bytes);
-  outcome.fingerprint = key.fingerprint;
-  if (cache_ != nullptr) {
-    if (std::shared_ptr<const ScenarioResult> hit = cache_->lookup(outcome.key)) {
-      outcome.result = std::move(hit);
-      outcome.hit = true;
-      return outcome;
-    }
-  }
-  auto fresh = std::make_shared<ScenarioResult>(run_prepared(std::move(prepared)));
-  if (cache_ != nullptr) {
-    cache_->insert(outcome.key, fresh);
-  }
-  outcome.result = std::move(fresh);
-  return outcome;
-}
-
-ScenarioResult Engine::run_prepared(PreparedRun prepared) const {
+ScenarioResult Engine::run(PreparedRun prepared) const {
   ScenarioResult result = std::move(prepared.result);
   const core::ModelSuite suite = std::move(prepared.suite);
   kind_module(result.spec.kind)
@@ -318,60 +272,15 @@ UqStat summarise_samples(std::vector<double> values,
 }
 
 std::vector<ScenarioResult> Engine::run_batch(const std::vector<ScenarioSpec>& specs) const {
-  // Prepare (validate + resolve) every spec exactly once; the prepared
-  // form both carries the content key and feeds the evaluator.
   std::vector<PreparedRun> prepared;
   prepared.reserve(specs.size());
   for (const ScenarioSpec& spec : specs) {
     prepared.push_back(prepare(spec));
   }
-  if (cache_ == nullptr) {
-    return run_batch_prepared(std::move(prepared));
-  }
-
-  // Content-address every spec, then look each *distinct* key up once:
-  // duplicates within the batch and results cached by earlier runs are
-  // never re-evaluated.
-  std::vector<std::string> keys;
-  keys.reserve(prepared.size());
-  for (const PreparedRun& run : prepared) {
-    keys.push_back(content_key(run.result).bytes);
-  }
-  std::unordered_map<std::string, std::shared_ptr<const ScenarioResult>> by_key;
-  std::vector<std::size_t> to_eval;  // index of each distinct key's first spec
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    if (by_key.find(keys[i]) != by_key.end()) {
-      continue;
-    }
-    std::shared_ptr<const ScenarioResult> hit = cache_->lookup(keys[i]);
-    if (!hit) {
-      to_eval.push_back(i);
-    }
-    by_key.emplace(keys[i], std::move(hit));
-  }
-
-  std::vector<PreparedRun> misses;
-  misses.reserve(to_eval.size());
-  for (const std::size_t i : to_eval) {
-    misses.push_back(std::move(prepared[i]));
-  }
-  std::vector<ScenarioResult> fresh = run_batch_prepared(std::move(misses));
-  for (std::size_t j = 0; j < to_eval.size(); ++j) {
-    auto shared = std::make_shared<const ScenarioResult>(std::move(fresh[j]));
-    cache_->insert(keys[to_eval[j]], shared);
-    by_key[keys[to_eval[j]]] = std::move(shared);
-  }
-
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    results.push_back(*by_key[keys[i]]);
-  }
-  return results;
+  return run_batch(std::move(prepared));
 }
 
-std::vector<ScenarioResult> Engine::run_batch_prepared(
-    std::vector<PreparedRun> prepared_runs) const {
+std::vector<ScenarioResult> Engine::run_batch(std::vector<PreparedRun> prepared_runs) const {
   struct SpecJob {
     PreparedRun prepared;
     KindBatchPlan plan;        ///< empty run_job = single whole-spec task
@@ -404,7 +313,7 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
     }
     if (!job.plan.run_job) {
       // No task plan: the kind runs whole-spec on one worker (single
-      // evaluations or internally small); a serial engine keeps the pool
+      // evaluations or internally small), serially so the pool stays
       // flat.
       tasks.push_back(Task{.spec = s, .index = 0});
       continue;
@@ -437,8 +346,9 @@ std::vector<ScenarioResult> Engine::run_batch_prepared(
         SpecJob& job = jobs[task.spec];
         ScenarioResult& result = job.prepared.result;
         if (!job.plan.run_job) {
-          const Engine serial(EngineOptions{.threads = 1, .registry = registry_});
-          result = serial.run(result.spec);
+          // The spec is already prepared: execute it serially in place.
+          kind_module(result.spec.kind)
+              .execute(KindRunContext{.threads = 1}, job.prepared.suite, result);
           return;
         }
         core::LifecycleModel* model = nullptr;

@@ -19,10 +19,12 @@
 /// Results are **bit-identical across thread counts**: every point is
 /// computed by the same deterministic code from the same inputs, and
 /// workers write to pre-sized slots (pinned by tests/engine_test.cpp).
+/// The engine holds no cache: it maps spec -> result, and `greenfpga
+/// serve` caches the rendered bytes under `content_key`.
 
 #include <array>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,8 +41,6 @@
 
 namespace greenfpga::scenario {
 
-class ResultCache;
-
 /// Engine construction knobs.
 struct EngineOptions {
   /// Worker count for independent points; 0 means `Engine::default_threads()`
@@ -51,13 +51,6 @@ struct EngineOptions {
   /// Platform-name resolver; nullptr means `PlatformRegistry::builtins()`.
   /// The registry must outlive the engine.
   const device::PlatformRegistry* registry = nullptr;
-  /// Optional shared result cache (see scenario/result_cache.hpp): `run`
-  /// consults it keyed by `cache_key`, and `run_batch` evaluates each
-  /// distinct uncached key once.  Cached results are byte-identical to a
-  /// cold run (the engine is deterministic), pinned by tests.  nullptr
-  /// disables caching.  The cache must outlive the engine; it is
-  /// thread-safe and may be shared across engines.
-  ResultCache* cache = nullptr;
 };
 
 /// One evaluated scenario point: axis coordinates plus every platform's
@@ -201,35 +194,46 @@ class Engine {
 
   explicit Engine(EngineOptions options = {});
 
-  /// Evaluate one scenario.  Validates the spec, resolves platforms,
-  /// applies the grid profile, dispatches on kind.  With a configured
-  /// `EngineOptions::cache`, a repeated spec returns the cached result
-  /// (byte-identical to a cold run).
-  [[nodiscard]] ScenarioResult run(const ScenarioSpec& spec) const;
+  /// A spec validated and platform-resolved once, with the grid profile
+  /// applied: the front half of every evaluation.  Callers that key a
+  /// cache prepare once, take `content_key`, and on a miss hand the same
+  /// prepared run to `run` / `run_batch`.
+  struct PreparedRun {
+    ScenarioResult result;   ///< spec as run, platform names, resolved chips
+    core::ModelSuite suite;  ///< effective suite (grid profile applied)
+  };
 
-  /// One cache-aware evaluation: the (shared, immutable) result plus
-  /// whether it came out of the cache, for callers that surface hit/miss
-  /// (the serve handlers' X-Cache header).  Without a configured cache
-  /// this evaluates and reports `hit = false`.
-  struct CachedRun {
-    std::shared_ptr<const ScenarioResult> result;
-    bool hit = false;
-    std::string key;  ///< the content key (see cache_key)
-    /// FNV-1a of `key`, computed in the same pass that serialized it
+  /// The content-address of a prepared run (see `cache_key`).
+  struct ContentKey {
+    std::string bytes;
+    /// FNV-1a of `bytes`, computed in the same pass that serialized them
     /// (hash-while-dump): the compact fingerprint serve surfaces as
     /// X-Cache-Key without re-hashing the key bytes.
     std::uint64_t fingerprint = 0;
   };
-  [[nodiscard]] CachedRun run_cached(const ScenarioSpec& spec) const;
 
-  /// The content-address of `spec` under this engine: the compact
-  /// canonical JSON of the validated spec (platforms defaulted, model
-  /// suite embedded) plus the registry-resolved platform chips.  Two
-  /// specs share a key exactly when the engine computes byte-identical
-  /// results for them; resolving through the registry keeps engines with
-  /// different registries from colliding on a name.  Throws on an invalid
-  /// spec, like `run`.
+  /// Validate `spec`, resolve its platforms through the registry and
+  /// apply its grid profile.  Throws on an invalid spec.
+  [[nodiscard]] PreparedRun prepare(const ScenarioSpec& spec) const;
+
+  /// The content key of a prepared run: the compact canonical JSON of the
+  /// as-run spec (platforms defaulted, model suite embedded) plus the
+  /// registry-resolved platform chips.  Everything the deterministic
+  /// answer depends on is in these bytes.
+  [[nodiscard]] static ContentKey content_key(const PreparedRun& prepared);
+
+  /// `content_key(prepare(spec)).bytes`.  Two specs share a key exactly
+  /// when the engine computes byte-identical results for them; resolving
+  /// through the registry keeps engines with different registries from
+  /// colliding on a name.  Throws on an invalid spec, like `run`.
   [[nodiscard]] std::string cache_key(const ScenarioSpec& spec) const;
+
+  /// Evaluate one scenario: prepare it, then dispatch on kind.  The
+  /// engine keeps no cache; serve caches rendered bodies by content key.
+  [[nodiscard]] ScenarioResult run(const ScenarioSpec& spec) const;
+
+  /// Evaluate an already prepared scenario.
+  [[nodiscard]] ScenarioResult run(PreparedRun prepared) const;
 
   /// Evaluate many specs as one batch, returning results in spec order.
   ///
@@ -246,14 +250,16 @@ class Engine {
   /// Results are bit-identical to running each spec individually at any
   /// thread count: every task computes from its spec's inputs alone and
   /// writes a pre-sized slot (pinned by tests/golden_results_test.cpp).
-  /// A failing spec fails the whole batch with that spec's error.
-  ///
-  /// With a configured `EngineOptions::cache`, each *distinct* cache key
-  /// is looked up once (one hit or miss counted per distinct key) and the
-  /// misses are evaluated as one batch, so a manifest repeating a spec --
-  /// or repeating one across invocations -- evaluates it once.
+  /// A failing spec fails the whole batch with that spec's error.  Every
+  /// spec is evaluated, repeats included: deduplication is the caller's
+  /// (serve looks each distinct content key up once and batches only the
+  /// misses).
   [[nodiscard]] std::vector<ScenarioResult> run_batch(
       const std::vector<ScenarioSpec>& specs) const;
+
+  /// `run_batch` over already prepared scenarios.
+  [[nodiscard]] std::vector<ScenarioResult> run_batch(
+      std::vector<PreparedRun> prepared) const;
 
   [[nodiscard]] int threads() const { return threads_; }
 
@@ -262,17 +268,10 @@ class Engine {
   [[nodiscard]] static int default_threads();
 
  private:
-  struct PreparedRun;  ///< prepared spec + effective suite (engine.cpp)
-
   [[nodiscard]] const device::PlatformRegistry& registry() const;
-  [[nodiscard]] PreparedRun prepare(const ScenarioSpec& spec) const;
-  [[nodiscard]] ScenarioResult run_prepared(PreparedRun prepared) const;
-  [[nodiscard]] std::vector<ScenarioResult> run_batch_prepared(
-      std::vector<PreparedRun> prepared) const;
 
   int threads_ = 1;
   const device::PlatformRegistry* registry_ = nullptr;
-  ResultCache* cache_ = nullptr;
 };
 
 }  // namespace greenfpga::scenario

@@ -334,24 +334,4 @@ Json fleet_result_to_json(const FleetResult& result) {
   return out;
 }
 
-FleetResult fleet_result_from_json(const Json& json) {
-  core::check_known_keys(json, "result fleet",
-                         {"groups", "region_multipliers", "peak_units"});
-  FleetResult result;
-  for (const Json& entry : json.at("groups").as_array()) {
-    core::check_known_keys(entry, "result fleet group",
-                           {"total", "units", "reconfig_factor"});
-    FleetGroupResult group;
-    group.total = core::breakdown_from_json(entry.at("total"));
-    group.units = entry.at("units").as_number_total();
-    group.reconfig_factor = entry.at("reconfig_factor").as_number_total();
-    result.groups.push_back(group);
-  }
-  for (const Json& multiplier : json.at("region_multipliers").as_array()) {
-    result.region_multipliers.push_back(multiplier.as_number_total());
-  }
-  result.peak_units = json.at("peak_units").as_number_total();
-  return result;
-}
-
 }  // namespace greenfpga::scenario

@@ -117,9 +117,6 @@ struct FleetResult {
 /// Canonical JSON of a fleet result payload.
 [[nodiscard]] io::Json fleet_result_to_json(const FleetResult& result);
 
-/// Inverse of `fleet_result_to_json`.
-[[nodiscard]] FleetResult fleet_result_from_json(const io::Json& json);
-
 }  // namespace greenfpga::scenario
 
 #endif  // GREENFPGA_SCENARIO_FLEET_HPP

@@ -97,14 +97,9 @@ struct KindModule {
                              ScenarioResult& result) = nullptr;
 
   // -- result-io layer -------------------------------------------------------
-  /// Top-level result keys this module owns (exactly one owner per key).
-  std::span<const std::string_view> result_keys;
   /// Emit this module's result payload sections (presence-based: emit only
   /// what the result carries).  Called for every module.  Optional.
   void (*result_to_json)(const ScenarioResult& result, io::Json& out) = nullptr;
-  /// Parse this module's sections when present.  Called for every module.
-  /// Optional.
-  void (*result_from_json)(const io::Json& json, ScenarioResult& result) = nullptr;
 
   // -- report layer ----------------------------------------------------------
   /// Lower the result into presentation frames.  Required.

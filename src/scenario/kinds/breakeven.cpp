@@ -20,7 +20,6 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"breakeven"};
-constexpr std::string_view kResultKeys[] = {"breakeven"};
 
 void params_to_json(const ScenarioSpec& spec, Json& out) {
   Json breakeven = Json::object();
@@ -94,26 +93,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   out["breakeven"] = std::move(breakeven);
 }
 
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("breakeven")) {
-    return;
-  }
-  const Json& breakeven = json.at("breakeven");
-  core::check_known_keys(breakeven, "result breakeven",
-                         {"app_count", "lifetime_years", "volume"});
-  BreakevenReport report;
-  const auto read = [&breakeven](const char* key) -> std::optional<double> {
-    if (!breakeven.contains(key) || breakeven.at(key).is_null()) {
-      return std::nullopt;
-    }
-    return breakeven.at(key).as_number_total();
-  };
-  report.app_count = read("app_count");
-  report.lifetime_years = read("lifetime_years");
-  report.volume = read("volume");
-  result.breakeven = report;
-}
-
 void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
   const BreakevenReport& report = *result.breakeven;
   ResultFrame frame;
@@ -145,9 +124,7 @@ const KindModule& breakeven_module() {
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
   };
   return module;

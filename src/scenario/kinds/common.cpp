@@ -185,18 +185,6 @@ Json doubles_to_json(const std::vector<double>& values) {
   return out;
 }
 
-std::vector<double> doubles_from_json(const Json& json) {
-  std::vector<double> out;
-  out.reserve(json.size());
-  for (const Json& v : json.as_array()) {
-    // Total read: the canonical writer encodes non-finite cells as
-    // string sentinels, and result payloads may legitimately carry them
-    // (a zero-baseline ratio, an unbounded solve).
-    out.push_back(v.as_number_total());
-  }
-  return out;
-}
-
 std::string ratio_label(const ScenarioResult& result, std::size_t index) {
   return result.platform_names[index] + ":" + result.platform_names[0];
 }

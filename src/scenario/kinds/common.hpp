@@ -91,7 +91,6 @@ void validate_spec_distributions(const ScenarioSpec& spec);
 // -- result JSON helpers -----------------------------------------------------------
 
 [[nodiscard]] io::Json doubles_to_json(const std::vector<double>& values);
-[[nodiscard]] std::vector<double> doubles_from_json(const io::Json& json);
 
 // -- frame helpers -----------------------------------------------------------------
 

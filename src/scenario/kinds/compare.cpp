@@ -19,7 +19,6 @@ using io::Json;
 using report::Column;
 using report::ResultFrame;
 
-constexpr std::string_view kResultKeys[] = {"points"};
 
 void execute(const KindRunContext& context, const core::ModelSuite& suite,
              ScenarioResult& result) {
@@ -42,21 +41,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
     points.push_back(std::move(entry));
   }
   out["points"] = std::move(points);
-}
-
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("points")) {
-    return;
-  }
-  for (const Json& entry : json.at("points").as_array()) {
-    core::check_known_keys(entry, "result point", {"coords", "platforms"});
-    EvalPoint point;
-    point.coords = doubles_from_json(entry.at("coords"));
-    for (const Json& platform : entry.at("platforms").as_array()) {
-      point.platforms.push_back(core::platform_cfp_from_json(platform));
-    }
-    result.points.push_back(std::move(point));
-  }
 }
 
 /// Breakdown-component frame of a compare result: the shared
@@ -92,9 +76,7 @@ const KindModule& compare_module() {
       .summary = "one evaluation point, all platforms head-to-head",
       .execute = execute,
       .plan_jobs = points_plan_jobs,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
   };
   return module;

@@ -26,7 +26,6 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"fleet"};
-constexpr std::string_view kResultKeys[] = {"fleet"};
 
 void seed_defaults(ScenarioSpec& spec) {
   // Unlike the always-emitted kind sections, `fleet` is conditional (like
@@ -116,12 +115,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   }
 }
 
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (json.contains("fleet")) {
-    result.fleet = fleet_result_from_json(json.at("fleet"));
-  }
-}
-
 /// One row per platform: the shared breakdown-component layout plus the
 /// fleet sizing columns and the baseline ratio.
 ResultFrame fleet_frame(const ScenarioResult& result) {
@@ -191,9 +184,7 @@ const KindModule& fleet_module() {
       .validate = validate,
       .default_platforms = default_platforms,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
       .sample_csv = sample_csv,
   };

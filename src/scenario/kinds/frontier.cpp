@@ -38,7 +38,6 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"frontier"};
-constexpr std::string_view kResultKeys[] = {"frontier"};
 
 constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
@@ -493,67 +492,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   out["frontier"] = std::move(frontier);
 }
 
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("frontier")) {
-    return;
-  }
-  const Json& frontier = json.at("frontier");
-  core::check_known_keys(frontier, "result frontier",
-                         {"axis_values", "cells", "win_counts", "win_fraction",
-                          "infeasible_cells", "slices", "boundaries",
-                          "confidence_samples"});
-  FrontierResult fr;
-  for (const Json& values : frontier.at("axis_values").as_array()) {
-    fr.axis_values.push_back(doubles_from_json(values));
-  }
-  for (const Json& entry : frontier.at("cells").as_array()) {
-    core::check_known_keys(entry, "result frontier cell",
-                           {"coords", "objective_kg", "winner", "margin",
-                            "confidence"});
-    FrontierCell cell;
-    cell.coords = doubles_from_json(entry.at("coords"));
-    cell.objective_kg = doubles_from_json(entry.at("objective_kg"));
-    cell.winner = static_cast<int>(entry.at("winner").as_int());
-    cell.margin = entry.at("margin").as_number_total();
-    cell.confidence = entry.at("confidence").as_number_total();
-    fr.cells.push_back(std::move(cell));
-  }
-  for (const Json& count : frontier.at("win_counts").as_array()) {
-    fr.win_counts.push_back(static_cast<std::size_t>(count.as_int()));
-  }
-  fr.win_fraction = doubles_from_json(frontier.at("win_fraction"));
-  fr.infeasible_cells =
-      static_cast<std::size_t>(frontier.at("infeasible_cells").as_int());
-  for (const Json& entry : frontier.at("slices").as_array()) {
-    core::check_known_keys(entry, "result frontier slice",
-                           {"axis", "value", "win_fraction"});
-    FrontierSlice slice;
-    slice.axis = static_cast<std::size_t>(entry.at("axis").as_int());
-    slice.value = entry.at("value").as_number_total();
-    slice.win_fraction = doubles_from_json(entry.at("win_fraction"));
-    fr.slices.push_back(std::move(slice));
-  }
-  for (const Json& entry : frontier.at("boundaries").as_array()) {
-    core::check_known_keys(entry, "result frontier boundary",
-                           {"platform_a", "platform_b", "points"});
-    FrontierBoundary boundary;
-    boundary.platform_a = static_cast<int>(entry.at("platform_a").as_int());
-    boundary.platform_b = static_cast<int>(entry.at("platform_b").as_int());
-    for (const Json& point : entry.at("points").as_array()) {
-      const std::vector<double> xy = doubles_from_json(point);
-      if (xy.size() != 2) {
-        throw std::invalid_argument(
-            "result frontier boundary point needs exactly two coordinates");
-      }
-      boundary.points.push_back({xy[0], xy[1]});
-    }
-    fr.boundaries.push_back(std::move(boundary));
-  }
-  fr.confidence_samples =
-      static_cast<int>(frontier.at("confidence_samples").as_int());
-  result.frontier = std::move(fr);
-}
-
 /// One row per frontier cell: coordinates, per-platform objectives, the
 /// winner and its margin, plus the Monte-Carlo win confidence.
 ResultFrame frontier_cells_frame(const ScenarioResult& result) {
@@ -655,9 +593,7 @@ const KindModule& frontier_module() {
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
   };
   return module;

@@ -22,7 +22,6 @@ using io::Json;
 
 constexpr std::string_view kAliases[] = {"monte_carlo", "mc"};
 constexpr std::string_view kSpecKeys[] = {"montecarlo"};
-constexpr std::string_view kResultKeys[] = {"uncertainty"};
 
 void seed_defaults(ScenarioSpec& spec) {
   spec.montecarlo.distributions = default_distributions();
@@ -276,38 +275,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   out["uncertainty"] = std::move(mc);
 }
 
-UqStat stat_from_json(const Json& json) {
-  UqStat stat;
-  stat.mean = json.at("mean").as_number_total();
-  stat.stddev = json.at("stddev").as_number_total();
-  stat.percentile_values = doubles_from_json(json.at("percentile_values"));
-  return stat;
-}
-
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("uncertainty")) {
-    return;
-  }
-  const Json& mc = json.at("uncertainty");
-  core::check_known_keys(mc, "result uncertainty",
-                         {"samples", "percentiles", "platform_total", "ratio",
-                          "win_fraction", "sample_totals_kg"});
-  MonteCarloUq uq;
-  uq.samples = static_cast<int>(mc.at("samples").as_int());
-  uq.percentiles = doubles_from_json(mc.at("percentiles"));
-  for (const Json& stat : mc.at("platform_total").as_array()) {
-    uq.platform_total.push_back(stat_from_json(stat));
-  }
-  for (const Json& stat : mc.at("ratio").as_array()) {
-    uq.ratio.push_back(stat_from_json(stat));
-  }
-  uq.win_fraction = doubles_from_json(mc.at("win_fraction"));
-  for (const Json& platform : mc.at("sample_totals_kg").as_array()) {
-    uq.sample_totals_kg.push_back(doubles_from_json(platform));
-  }
-  result.uncertainty = std::move(uq);
-}
-
 void to_frames(const ScenarioResult& result, std::vector<report::ResultFrame>& frames) {
   frames.push_back(uncertainty_frame(result));
 }
@@ -347,9 +314,7 @@ const KindModule& montecarlo_module() {
       .validate = validate,
       .execute = execute,
       .plan_jobs = plan_jobs,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
       .render_text = render_text,
       .sample_csv = sample_csv,

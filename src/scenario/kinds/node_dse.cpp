@@ -22,7 +22,6 @@ using report::ResultFrame;
 
 constexpr std::string_view kAliases[] = {"nodes"};
 constexpr std::string_view kSpecKeys[] = {"dse"};
-constexpr std::string_view kResultKeys[] = {"candidates"};
 
 void params_to_json(const ScenarioSpec& spec, Json& out) {
   Json dse = Json::object();
@@ -124,21 +123,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   out["candidates"] = std::move(candidates);
 }
 
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("candidates")) {
-    return;
-  }
-  for (const Json& entry : json.at("candidates").as_array()) {
-    core::check_known_keys(entry, "result candidate",
-                           {"chip", "lifecycle", "total_vs_best"});
-    NodeCandidate candidate;
-    candidate.chip = core::chip_from_json(entry.at("chip"));
-    candidate.lifecycle = core::breakdown_from_json(entry.at("lifecycle"));
-    candidate.total_vs_best = entry.at("total_vs_best").as_number_total();
-    result.candidates.push_back(std::move(candidate));
-  }
-}
-
 void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
   ResultFrame frame;
   frame.name = "nodes";
@@ -173,9 +157,7 @@ const KindModule& node_dse_module() {
       .parse_params = parse_params,
       .default_platforms = default_platforms,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
   };
   return module;

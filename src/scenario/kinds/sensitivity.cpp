@@ -19,7 +19,6 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"sensitivity"};
-constexpr std::string_view kResultKeys[] = {"tornado", "monte_carlo"};
 
 void seed_defaults(ScenarioSpec& spec) {
   spec.sensitivity.ranges = table1_ranges();
@@ -124,35 +123,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   }
 }
 
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (json.contains("tornado")) {
-    for (const Json& entry : json.at("tornado").as_array()) {
-      core::check_known_keys(entry, "result tornado entry",
-                             {"name", "ratio_at_low", "ratio_at_high", "swing"});
-      TornadoEntry tornado;
-      tornado.name = entry.at("name").as_string();
-      tornado.ratio_at_low = entry.at("ratio_at_low").as_number_total();
-      tornado.ratio_at_high = entry.at("ratio_at_high").as_number_total();
-      result.tornado.push_back(std::move(tornado));
-    }
-  }
-  if (json.contains("monte_carlo")) {
-    const Json& mc = json.at("monte_carlo");
-    core::check_known_keys(mc, "result monte_carlo",
-                           {"samples", "mean", "stddev", "p05", "p50", "p95",
-                            "fpga_win_fraction"});
-    MonteCarloResult summary;
-    summary.samples = static_cast<int>(mc.at("samples").as_int());
-    summary.mean = mc.at("mean").as_number_total();
-    summary.stddev = mc.at("stddev").as_number_total();
-    summary.p05 = mc.at("p05").as_number_total();
-    summary.p50 = mc.at("p50").as_number_total();
-    summary.p95 = mc.at("p95").as_number_total();
-    summary.fpga_win_fraction = mc.at("fpga_win_fraction").as_number_total();
-    result.monte_carlo = summary;
-  }
-}
-
 void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
   if (!result.tornado.empty()) {
     ResultFrame frame;
@@ -197,9 +167,7 @@ const KindModule& sensitivity_module() {
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
   };
   return module;

@@ -20,7 +20,6 @@ using report::Column;
 using report::ResultFrame;
 
 constexpr std::string_view kSpecKeys[] = {"timeline"};
-constexpr std::string_view kResultKeys[] = {"timeline"};
 
 void params_to_json(const ScenarioSpec& spec, Json& out) {
   Json timeline = Json::object();
@@ -70,22 +69,6 @@ void result_to_json(const ScenarioResult& result, Json& out) {
   timeline["fpga_purchase_years"] =
       doubles_to_json(result.timeline->fpga_purchase_years);
   out["timeline"] = std::move(timeline);
-}
-
-void result_from_json(const Json& json, ScenarioResult& result) {
-  if (!json.contains("timeline")) {
-    return;
-  }
-  const Json& timeline = json.at("timeline");
-  core::check_known_keys(timeline, "result timeline",
-                         {"time_years", "asic_cumulative_kg", "fpga_cumulative_kg",
-                          "fpga_purchase_years"});
-  TimelineSeries series;
-  series.time_years = doubles_from_json(timeline.at("time_years"));
-  series.asic_cumulative_kg = doubles_from_json(timeline.at("asic_cumulative_kg"));
-  series.fpga_cumulative_kg = doubles_from_json(timeline.at("fpga_cumulative_kg"));
-  series.fpga_purchase_years = doubles_from_json(timeline.at("fpga_purchase_years"));
-  result.timeline = std::move(series);
 }
 
 void to_frames(const ScenarioResult& result, std::vector<ResultFrame>& frames) {
@@ -140,9 +123,7 @@ const KindModule& timeline_module() {
       .parse_params = parse_params,
       .validate = validate,
       .execute = execute,
-      .result_keys = kResultKeys,
       .result_to_json = result_to_json,
-      .result_from_json = result_from_json,
       .to_frames = to_frames,
       .render_text = render_text,
   };

@@ -1,5 +1,5 @@
 /// \file result_cache.cpp
-/// The sharded content-addressed LRU over immutable scenario results.
+/// The sharded content-addressed LRU and its two instantiations.
 
 #include "scenario/result_cache.hpp"
 
@@ -12,7 +12,12 @@
 
 namespace greenfpga::scenario {
 
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
+/// Whether `Value` can live in the disk tier (byte bodies only).
+template <class Value>
+constexpr bool kStorable = std::is_same_v<Value, std::string>;
+
+template <class Value>
+LruCache<Value>::LruCache(std::size_t capacity, std::size_t shards) {
   if (capacity == 0) {
     capacity = 1;
   }
@@ -26,30 +31,34 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
   }
 }
 
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
+template <class Value>
+typename LruCache<Value>::Shard& LruCache<Value>::shard_for(const std::string& key) {
   return *shards_[io::fnv1a64(key) % shards_.size()];
 }
 
-std::shared_ptr<const ScenarioResult> ResultCache::lookup(const std::string& key) {
+template <class Value>
+std::shared_ptr<const Value> LruCache<Value>::lookup(const std::string& key) {
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
+    const auto it = shard.index.find(std::string_view(key));
     if (it != shard.index.end()) {
       ++shard.hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // freshen
-      return it->second->result;
+      return it->second->value;
     }
   }
   // Memory miss: consult the disk tier with no lock held -- store IO is
   // file IO and must never serialize the shard.
-  if (store_ != nullptr) {
-    if (std::shared_ptr<const ScenarioResult> loaded = store_->load(key)) {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      ++shard.hits;
-      ++shard.disk_hits;
-      insert_locked(shard, key, loaded);
-      return loaded;
+  if constexpr (kStorable<Value>) {
+    if (store_ != nullptr) {
+      if (std::shared_ptr<const Value> loaded = store_->load(key)) {
+        const std::lock_guard<std::mutex> lock(shard.mutex);
+        ++shard.hits;
+        ++shard.disk_hits;
+        insert_locked(shard, key, loaded);
+        return loaded;
+      }
     }
   }
   const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -57,40 +66,44 @@ std::shared_ptr<const ScenarioResult> ResultCache::lookup(const std::string& key
   return nullptr;
 }
 
-void ResultCache::insert(const std::string& key,
-                         std::shared_ptr<const ScenarioResult> result) {
-  if (!result) {
-    throw std::invalid_argument("ResultCache::insert: null result");
+template <class Value>
+void LruCache<Value>::insert(const std::string& key, std::shared_ptr<const Value> value) {
+  if (!value) {
+    throw std::invalid_argument("LruCache::insert: null value");
   }
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    insert_locked(shard, key, result);
+    insert_locked(shard, key, value);
   }
-  if (store_ != nullptr) {
-    store_->save(key, *result);  // best-effort; outside the lock
+  if constexpr (kStorable<Value>) {
+    if (store_ != nullptr) {
+      store_->save(key, *value);  // best-effort; outside the lock
+    }
   }
 }
 
-void ResultCache::insert_locked(Shard& shard, const std::string& key,
-                                std::shared_ptr<const ScenarioResult> result) {
-  const auto it = shard.index.find(key);
+template <class Value>
+void LruCache<Value>::insert_locked(Shard& shard, const std::string& key,
+                                    std::shared_ptr<const Value> value) {
+  const auto it = shard.index.find(std::string_view(key));
   if (it != shard.index.end()) {
-    // Same content key => same deterministic result; refresh recency only.
-    it->second->result = std::move(result);
+    // Same content key => same deterministic value; refresh recency only.
+    it->second->value = std::move(value);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(result)});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front(Entry{key, std::move(value)});
+  shard.index.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
   if (shard.lru.size() > shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
+    shard.index.erase(std::string_view(shard.lru.back().key));
     shard.lru.pop_back();
     ++shard.evictions;
   }
 }
 
-void ResultCache::clear() {
+template <class Value>
+void LruCache<Value>::clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     shard->index.clear();
@@ -98,7 +111,8 @@ void ResultCache::clear() {
   }
 }
 
-ResultCacheStats ResultCache::stats() const {
+template <class Value>
+ResultCacheStats LruCache<Value>::stats() const {
   ResultCacheStats stats;
   stats.capacity = shard_capacity_ * shards_.size();
   stats.shards = shards_.size();
@@ -112,5 +126,8 @@ ResultCacheStats ResultCache::stats() const {
   }
   return stats;
 }
+
+template class LruCache<std::string>;
+template class LruCache<ScenarioResult>;
 
 }  // namespace greenfpga::scenario

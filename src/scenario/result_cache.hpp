@@ -2,19 +2,23 @@
 #define GREENFPGA_SCENARIO_RESULT_CACHE_HPP
 
 /// \file result_cache.hpp
-/// A thread-safe, content-addressed, sharded LRU cache of scenario
-/// results, with an optional disk tier.
+/// A thread-safe, content-addressed, sharded LRU of immutable values, with
+/// an optional disk tier for byte values.
 ///
 /// Operators re-ask the same lifecycle-CFP questions continuously with
-/// slightly varying parameters; a long-lived process (`greenfpga serve`, a
-/// batch over a manifest with repeated specs) should evaluate each
-/// distinct question once.  The cache key is the *content* of the
-/// evaluation -- the canonical JSON of the validated spec (which embeds
-/// the full model suite) plus the resolved platform chips, built by
-/// `Engine::cache_key` -- so two requests hit the same entry exactly when
-/// the engine would compute byte-identical results for them.  Entries are
-/// immutable `shared_ptr<const ScenarioResult>`s: readers keep their
-/// snapshot alive even if the entry is evicted mid-use.
+/// slightly varying parameters; a long-lived process (`greenfpga serve`)
+/// should evaluate each distinct question once.  The cache key is the
+/// *content* of the evaluation -- the canonical JSON of the validated spec
+/// (which embeds the full model suite) plus the resolved platform chips,
+/// built by `Engine::content_key` -- so two requests hit the same entry
+/// exactly when the engine would compute byte-identical results for them.
+/// Entries are immutable `shared_ptr<const Value>`s: readers keep their
+/// snapshot alive even if the entry is evicted mid-use.  Each entry holds
+/// its key once; the index views that string.
+///
+/// The one production instantiation is `BodyCache`, serve's cache of
+/// rendered canonical response bodies.  `ResultCache` (the same LRU over
+/// `ScenarioResult`) remains for in-process benchmarks that cache results.
 ///
 /// The key space is split across `shards` independent LRU shards (FNV-1a
 /// digest of the key, modulo shard count), each with its own mutex, so
@@ -24,17 +28,19 @@
 /// split evenly, rounding up).  Eviction counters and occupancy are
 /// aggregated across shards for `GET /v1/stats`.
 ///
-/// An optional `CacheStore` adds a disk tier: inserts are persisted,
-/// and a memory miss consults the store before reporting a miss -- a
-/// disk hit re-promotes the entry to memory and counts as a hit (plus
-/// `disk_hits`).  Store IO runs *outside* every shard lock, so a slow
-/// disk never serializes the memory tier.
+/// A `BodyCache` may attach a `CacheStore` disk tier: inserts are
+/// persisted, and a memory miss consults the store before reporting a
+/// miss -- a disk hit re-promotes the entry to memory and counts as a hit
+/// (plus `disk_hits`).  Store IO runs *outside* every shard lock, so a
+/// slow disk never serializes the memory tier.
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -55,30 +61,37 @@ struct ResultCacheStats {
   std::size_t shards = 1;
 };
 
-/// Content-addressed LRU over immutable scenario results.  Thread-safe.
-class ResultCache {
+/// Content-addressed sharded LRU over immutable `Value`s.  Thread-safe.
+/// Instantiated for `std::string` (`BodyCache`) and `ScenarioResult`
+/// (`ResultCache`) in result_cache.cpp.
+template <class Value>
+class LruCache {
  public:
   /// `capacity` is the maximum total entry count (>= 1 enforced; the
   /// cache would otherwise be an expensive way to spell "never hit"),
   /// split evenly across `shards` (>= 1 enforced) rounding up -- so the
   /// effective total is `ceil(capacity / shards) * shards`.
-  explicit ResultCache(std::size_t capacity = 1024, std::size_t shards = 1);
+  explicit LruCache(std::size_t capacity = 1024, std::size_t shards = 1);
 
   /// Attach (or detach, with nullptr) a disk tier.  Not synchronized
   /// with concurrent operations: attach before sharing the cache across
   /// threads.  The store must outlive the cache.
-  void attach_store(CacheStore* store) { store_ = store; }
+  void attach_store(CacheStore* store)
+    requires std::is_same_v<Value, std::string>
+  {
+    store_ = store;
+  }
 
-  /// The cached result for `key`, or nullptr.  Counts a hit or a miss and
+  /// The cached value for `key`, or nullptr.  Counts a hit or a miss and
   /// freshens the entry's LRU position.  On a memory miss with a store
   /// attached, a disk hit re-promotes the entry and counts as a hit.
-  [[nodiscard]] std::shared_ptr<const ScenarioResult> lookup(const std::string& key);
+  [[nodiscard]] std::shared_ptr<const Value> lookup(const std::string& key);
 
-  /// Insert (or refresh) `key -> result`, evicting the least recently
-  /// used entry of the key's shard when over capacity.  `result` must not
+  /// Insert (or refresh) `key -> value`, evicting the least recently
+  /// used entry of the key's shard when over capacity.  `value` must not
   /// be null.  Persisted to the store when one is attached (best-effort,
   /// outside the shard lock).
-  void insert(const std::string& key, std::shared_ptr<const ScenarioResult> result);
+  void insert(const std::string& key, std::shared_ptr<const Value> value);
 
   /// Drop every in-memory entry (counters are preserved: they are
   /// lifetime totals).  Disk entries are untouched.
@@ -89,13 +102,15 @@ class ResultCache {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const ScenarioResult> result;
+    std::shared_ptr<const Value> value;
   };
 
   struct Shard {
     mutable std::mutex mutex;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    /// Views each entry's own key: list nodes are stable, so a view
+    /// lives exactly as long as its node.
+    std::unordered_map<std::string_view, typename std::list<Entry>::iterator> index;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -106,12 +121,17 @@ class ResultCache {
 
   /// Insert/refresh under `shard.mutex` (already held by the caller).
   void insert_locked(Shard& shard, const std::string& key,
-                     std::shared_ptr<const ScenarioResult> result);
+                     std::shared_ptr<const Value> value);
 
   std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   CacheStore* store_ = nullptr;
 };
+
+/// Serve's cache of rendered canonical response bodies.
+using BodyCache = LruCache<std::string>;
+/// The same LRU over evaluated results (in-process benchmarks).
+using ResultCache = LruCache<ScenarioResult>;
 
 }  // namespace greenfpga::scenario
 

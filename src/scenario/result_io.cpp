@@ -1,9 +1,9 @@
 /// \file result_io.cpp
-/// Canonical result JSON (total, byte-identical round-trip).  The common
-/// envelope -- spec and resolved platforms -- lives here; every kind
-/// section is owned by its registry module, and both directions simply
-/// iterate the registry (sections are presence-gated, and the sorted
-/// canonical object makes emission order irrelevant to the bytes).
+/// Canonical result JSON and frame lowering.  The common envelope -- spec
+/// and resolved platforms -- lives here; every kind section is owned by
+/// its registry module, and the writer simply iterates the registry
+/// (sections are presence-gated, and the sorted canonical object makes
+/// emission order irrelevant to the bytes).
 
 #include "scenario/result_io.hpp"
 
@@ -21,29 +21,6 @@ using io::Json;
 using report::Cell;
 using report::Column;
 using report::ResultFrame;
-
-/// check_known_keys over the registry-derived key set: the envelope keys
-/// plus every module's result sections.  Runtime-built because the
-/// registry owns the per-kind vocabulary.
-void check_result_keys(const Json& json) {
-  for (const auto& [key, value] : json.as_object()) {
-    bool known = key == "spec" || key == "platforms";
-    for (const KindModule* module : all_kind_modules()) {
-      for (const std::string_view candidate : module->result_keys) {
-        if (key == candidate) {
-          known = true;
-          break;
-        }
-      }
-      if (known) {
-        break;
-      }
-    }
-    if (!known) {
-      throw core::ConfigError("unknown key \"" + key + "\" in scenario result");
-    }
-  }
-}
 
 }  // namespace
 
@@ -64,23 +41,6 @@ Json result_to_json(const ScenarioResult& result) {
     }
   }
   return out;
-}
-
-ScenarioResult result_from_json(const Json& json) {
-  check_result_keys(json);
-  ScenarioResult result;
-  result.spec = spec_from_json(json.at("spec"));
-  for (const Json& entry : json.at("platforms").as_array()) {
-    core::check_known_keys(entry, "result platform", {"name", "chip"});
-    result.platform_names.push_back(entry.at("name").as_string());
-    result.resolved_chips.push_back(core::chip_from_json(entry.at("chip")));
-  }
-  for (const KindModule* module : all_kind_modules()) {
-    if (module->result_from_json != nullptr) {
-      module->result_from_json(json, result);
-    }
-  }
-  return result;
 }
 
 bool operator==(const ScenarioResult& a, const ScenarioResult& b) {

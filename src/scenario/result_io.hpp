@@ -11,17 +11,13 @@
 ///     `report::ResultFrame`s -- the single source every renderer (text
 ///     table, CSV, Markdown, batch index) draws from, so no output format
 ///     ever re-implements a scenario kind;
-///   * `result_to_json` / `result_from_json` are a canonical, total JSON
-///     round-trip through `io::Json`: serialize -> parse -> re-serialize
-///     is byte-identical, and `result_from_json(result_to_json(r)) == r`
-///     (pinned by tests/golden_results_test.cpp).  Downstream consumers
-///     (dashboards, caches, the `greenfpga batch` index) can therefore
-///     read any answer without re-running the engine.
-///
-/// The only result content that does not survive JSON is the *programmatic*
-/// part of a sensitivity spec (custom `ParameterRange` appliers), which --
-/// exactly as in `spec_to_json` -- serializes by name and is reconstructed
-/// from `table1_ranges()` on load.
+///   * `result_to_json` is the canonical, total JSON form: every field,
+///     sorted keys, shortest round-trip numbers, non-finite values as
+///     string sentinels.  Its text is a fixed point of parse -> dump
+///     (pinned by tests/golden_results_test.cpp), which is what
+///     `greenfpga batch --validate` checks of every written file.  Nothing
+///     in the product reads a result back: serve caches and persists the
+///     rendered bytes themselves.
 
 #include <vector>
 
@@ -35,10 +31,6 @@ namespace greenfpga::scenario {
 /// platforms, and the kind-dependent payload (every field, deterministic
 /// key order, shortest round-trip numbers).
 [[nodiscard]] io::Json result_to_json(const ScenarioResult& result);
-
-/// Inverse of `result_to_json`.  Throws core::ConfigError / io::JsonError
-/// on malformed input.
-[[nodiscard]] ScenarioResult result_from_json(const io::Json& json);
 
 /// Result equality, defined as equality of the canonical JSON forms (the
 /// payload holds std::function-bearing spec members, so memberwise

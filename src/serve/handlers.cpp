@@ -1,11 +1,16 @@
 /// \file handlers.cpp
-/// The serve endpoints: spec in, canonical result JSON out, cached.
+/// The serve endpoints: spec in, canonical result JSON out, the rendered
+/// bytes cached by content key.
 
 #include "serve/handlers.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,35 +76,81 @@ scenario::ScenarioSpec spec_of_body(const std::string& body,
   return spec;
 }
 
-HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
-  std::optional<std::uint64_t> request_digest;
-  const scenario::ScenarioSpec spec = spec_of_body(request.body, &request_digest);
-  const scenario::Engine::CachedRun run = context.engine().run_cached(spec);
+/// The canonical `/v1/run` body of `result`: its pretty canonical JSON
+/// plus a newline, exactly what `greenfpga run --format json` prints.
+std::shared_ptr<const std::string> render_body(const scenario::ScenarioResult& result) {
+  std::string text;
+  scenario::result_to_json(result).dump_to(text);
+  text.push_back('\n');
+  return std::make_shared<const std::string>(std::move(text));
+}
+
+/// The pretty JSON array of `elements` (rendered `/v1/run` bodies),
+/// spliced from their bytes with no DOM: byte-identical to dumping a
+/// `Json` array of the results plus a newline.  The pretty writer is
+/// purely structural, so an element at depth 1 is its body without the
+/// final newline, with every newline followed by two more spaces.
+std::string splice_array(const std::vector<const std::string*>& elements) {
+  if (elements.empty()) {
+    return "[]\n";
+  }
+  std::size_t size = 3;
+  for (const std::string* body : elements) {
+    size += 4 + body->size() +
+            2 * static_cast<std::size_t>(std::count(body->begin(), body->end(), '\n'));
+  }
+  std::string out;
+  out.reserve(size);
+  out.push_back('[');
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (i != 0) {
+      out.push_back(',');
+    }
+    out.append("\n  ");
+    std::string_view element(*elements[i]);
+    if (!element.empty() && element.back() == '\n') {
+      element.remove_suffix(1);
+    }
+    std::size_t start = 0;
+    for (std::size_t nl = element.find('\n'); nl != std::string_view::npos;
+         start = nl + 1, nl = element.find('\n', start)) {
+      out.append(element.substr(start, nl + 1 - start));
+      out.append("  ");
+    }
+    out.append(element.substr(start));
+  }
+  out.append("\n]\n");
+  return out;
+}
+
+HttpResponse body_response(std::string body) {
   HttpResponse response;
   response.status = 200;
   response.set_header("Content-Type", "application/json");
-  std::shared_ptr<const std::string> body;
-  if (run.hit) {
-    body = context.rendered().lookup(run.key);
-  }
-  if (body != nullptr) {
-    // Fast path: the engine reported a cache hit and the rendered bytes
-    // are still resident -- stream them back without materializing the
-    // result DOM or dumping anything.
+  response.body = std::move(body);
+  return response;
+}
+
+HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
+  std::optional<std::uint64_t> request_digest;
+  const scenario::ScenarioSpec spec = spec_of_body(request.body, &request_digest);
+  const scenario::Engine& engine = context.engine();
+  scenario::Engine::PreparedRun prepared = engine.prepare(spec);
+  const scenario::Engine::ContentKey key = scenario::Engine::content_key(prepared);
+  std::shared_ptr<const std::string> body = context.cache().lookup(key.bytes);
+  const bool hit = body != nullptr;
+  if (hit) {
+    // Stream the cached bytes back: no evaluation, no dump.
     context.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
-    response.body = *body;
   } else {
-    std::string text;
-    scenario::result_to_json(*run.result).dump_to(text);
-    text.push_back('\n');
-    auto rendered = std::make_shared<const std::string>(std::move(text));
-    context.rendered().insert(run.key, rendered);
-    response.body = *rendered;
+    body = render_body(engine.run(std::move(prepared)));
+    context.cache().insert(key.bytes, body);
   }
-  response.set_header("X-Cache", run.hit ? "hit" : "miss");
+  HttpResponse response = body_response(*body);
+  response.set_header("X-Cache", hit ? "hit" : "miss");
   // The fingerprint was folded while the key was dumped; same text as
-  // content_digest(run.key), no re-hash of the key bytes.
-  response.set_header("X-Cache-Key", io::content_digest_of_hash(run.fingerprint));
+  // content_digest(key.bytes), no re-hash of the key bytes.
+  response.set_header("X-Cache-Key", io::content_digest_of_hash(key.fingerprint));
   if (request_digest.has_value()) {
     response.set_header("X-Request-Digest", io::content_digest_of_hash(*request_digest));
   }
@@ -123,13 +174,49 @@ HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
       throw core::ConfigError("specs[" + std::to_string(i) + "]: " + error.what());
     }
   }
-  const std::vector<scenario::ScenarioResult> results =
-      context.engine().run_batch(specs);
-  Json body = Json::array();
-  for (const scenario::ScenarioResult& result : results) {
-    body.push_back(scenario::result_to_json(result));
+  // Prepare and key every spec before touching the cache, so a spec that
+  // fails to resolve leaves the counters alone.
+  const scenario::Engine& engine = context.engine();
+  std::vector<scenario::Engine::PreparedRun> prepared;
+  std::vector<std::string> keys;
+  prepared.reserve(specs.size());
+  keys.reserve(specs.size());
+  for (const scenario::ScenarioSpec& spec : specs) {
+    prepared.push_back(engine.prepare(spec));
+    keys.push_back(scenario::Engine::content_key(prepared.back()).bytes);
   }
-  return json_response(200, body);
+  // One lookup per distinct key; the misses run as one engine batch and
+  // are each rendered and inserted once.
+  std::unordered_map<std::string_view, std::size_t> distinct;  // key -> slot
+  std::vector<std::size_t> slot_of(specs.size());
+  std::vector<std::shared_ptr<const std::string>> bodies;  // per slot
+  std::vector<std::size_t> miss_specs;
+  std::vector<scenario::Engine::PreparedRun> misses;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto [it, first] = distinct.try_emplace(keys[i], bodies.size());
+    slot_of[i] = it->second;
+    if (!first) {
+      continue;
+    }
+    bodies.push_back(context.cache().lookup(keys[i]));
+    if (bodies.back() == nullptr) {
+      miss_specs.push_back(i);
+      misses.push_back(std::move(prepared[i]));
+    }
+  }
+  const std::vector<scenario::ScenarioResult> results =
+      engine.run_batch(std::move(misses));
+  for (std::size_t j = 0; j < miss_specs.size(); ++j) {
+    const std::size_t i = miss_specs[j];
+    bodies[slot_of[i]] = render_body(results[j]);
+    context.cache().insert(keys[i], bodies[slot_of[i]]);
+  }
+  std::vector<const std::string*> elements;
+  elements.reserve(specs.size());
+  for (const std::size_t slot : slot_of) {
+    elements.push_back(bodies[slot].get());
+  }
+  return body_response(splice_array(elements));
 }
 
 HttpResponse handle_platforms(const ServeContext& context, const HttpRequest&) {
@@ -174,42 +261,6 @@ HttpResponse handle_healthz(const HttpRequest&) {
 
 }  // namespace
 
-std::shared_ptr<const std::string> RenderedBodyCache::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::string_view(key));
-  if (it == index_.end()) {
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return lru_.front().body;
-}
-
-void RenderedBodyCache::insert(const std::string& key,
-                               std::shared_ptr<const std::string> body) {
-  if (capacity_ == 0) {
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::string_view(key));
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, std::move(body)});
-  // The index views the entry's own key string; list nodes are stable,
-  // so the view survives every splice/push until its node is erased.
-  index_.emplace(std::string_view(lru_.front().key), lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(std::string_view(lru_.back().key));
-    lru_.pop_back();
-  }
-}
-
-std::size_t RenderedBodyCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
 ServeContext::ServeContext(scenario::EngineOptions engine_options,
                            std::size_t cache_capacity, std::size_t cache_shards,
                            const std::string& cache_dir)
@@ -217,14 +268,10 @@ ServeContext::ServeContext(scenario::EngineOptions engine_options,
                  ? std::nullopt
                  : std::optional<scenario::CacheStore>(std::in_place, cache_dir)),
       cache_(cache_capacity, cache_shards),
-      engine_([&] {
-        engine_options.cache = &cache_;
-        return scenario::Engine(engine_options);
-      }()),
+      engine_(engine_options),
       registry_(engine_options.registry != nullptr
                     ? engine_options.registry
-                    : &device::PlatformRegistry::builtins()),
-      rendered_(cache_capacity) {
+                    : &device::PlatformRegistry::builtins()) {
   if (store_.has_value()) {
     cache_.attach_store(&*store_);
   }

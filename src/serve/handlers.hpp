@@ -14,23 +14,25 @@
 ///     and `X-Request-Digest` the canonical digest of the request body
 ///     when hash-while-parse could compute it (keys arrived sorted).
 ///   * `POST /v1/batch`  -- `{"specs": [<spec>, ...]}` in, the array of
-///     canonical result JSONs out (spec order); repeated/previously-seen
-///     specs come from the cache.
+///     canonical result JSONs out (spec order), spliced from the same
+///     per-spec bytes `/v1/run` answers with; repeated and previously
+///     seen specs come from the cache.
 ///   * `GET /v1/platforms` -- registry platform names and known domains.
 ///   * `GET /v1/stats`   -- cache hit/miss/eviction counters, occupancy,
-///     request counts, `fast_path_hits` (responses streamed from the
-///     rendered-body cache without re-dumping a result), engine worker
-///     count.
+///     request counts, `fast_path_hits` (`/v1/run` bodies streamed from
+///     the byte cache), engine worker count.
 ///   * `GET /healthz`    -- liveness: `{"status":"ok"}`.
 ///
 /// Request bodies parse into the arena DOM (io/json_arena.hpp): one
 /// monotonic buffer per request, freed wholesale, with the canonical
-/// FNV-1a digest computed during the parse.  On the response side a
-/// cache-hit `/v1/run` takes the *fast path*: the fully rendered body is
-/// kept in a small LRU keyed by the engine's content key, so a repeat
-/// request skips `result_to_json` + dump entirely and streams the cached
-/// bytes back (still consulting the engine cache, so hit/miss accounting
-/// is unchanged).
+/// FNV-1a digest computed during the parse.  The one cache is a sharded
+/// LRU of rendered canonical response bodies (`scenario::BodyCache`),
+/// keyed by the engine's content key; the engine itself caches nothing.
+/// A request prepares its spec once and keys it; a hit streams the
+/// cached bytes, a miss evaluates that prepared run, renders it once and
+/// inserts it.  With `--cache-dir` the bodies persist verbatim on disk
+/// (scenario/cache_store.hpp), so a restarted daemon answers from disk
+/// with no parse.
 ///
 /// Spec parse/validation failures answer 400 with the same
 /// offending-key-naming message the CLI prints; over-limit or malformed
@@ -40,12 +42,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "scenario/cache_store.hpp"
 #include "scenario/engine.hpp"
@@ -54,75 +52,38 @@
 
 namespace greenfpga::serve {
 
-/// A bounded LRU of fully rendered `/v1/run` response bodies, keyed by
-/// the engine's content key (the full canonical key bytes -- collision-
-/// proof identity per io/hash.hpp, never the 64-bit digest alone).  The
-/// engine is deterministic, so a rendered body can never go stale while
-/// its result is cached; at worst an evicted body is re-rendered.
-/// Thread-safe; bodies are shared immutably with in-flight responses.
-class RenderedBodyCache {
- public:
-  explicit RenderedBodyCache(std::size_t capacity) : capacity_(capacity) {}
-
-  /// The rendered body for `key`, refreshed to most-recently-used, or
-  /// nullptr when absent.
-  [[nodiscard]] std::shared_ptr<const std::string> lookup(const std::string& key);
-
-  /// Remember `body` for `key` (no-op on a duplicate key beyond the
-  /// recency refresh), evicting the least recently used entry over
-  /// capacity.
-  void insert(const std::string& key, std::shared_ptr<const std::string> body);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const std::string> body;
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
-};
-
-/// Shared state behind one serving process: the content-addressed result
-/// cache (sharded; optionally disk-backed) and the engine wired to it,
-/// plus request counters.  Construct once, then build the router over
-/// it; must outlive the server.
+/// Shared state behind one serving process: the content-addressed body
+/// cache (sharded; optionally disk-backed) and the engine whose results
+/// it holds, plus request counters.  Construct once, then build the
+/// router over it; must outlive the server.
 class ServeContext {
  public:
-  /// `engine_options.cache` is overwritten to point at the owned cache.
   /// A non-empty `cache_dir` attaches a disk tier (created if absent;
   /// throws std::runtime_error when unusable), so a restarted daemon
-  /// keeps its previously evaluated results.
+  /// keeps its previously rendered bodies.
   explicit ServeContext(scenario::EngineOptions engine_options = {},
                         std::size_t cache_capacity = 1024,
                         std::size_t cache_shards = 8,
                         const std::string& cache_dir = "");
 
-  [[nodiscard]] scenario::ResultCache& cache() { return cache_; }
+  [[nodiscard]] scenario::BodyCache& cache() { return cache_; }
   [[nodiscard]] const scenario::Engine& engine() const { return engine_; }
   /// The registry the engine resolves platform names against.
   [[nodiscard]] const device::PlatformRegistry& registry() const { return *registry_; }
-  /// Rendered `/v1/run` bodies for the cache-hit fast path.
-  [[nodiscard]] RenderedBodyCache& rendered() { return rendered_; }
 
   std::atomic<std::uint64_t> requests{0};  ///< routed requests
   std::atomic<std::uint64_t> errors{0};    ///< non-2xx responses
-  /// `/v1/run` responses streamed from the rendered-body cache (no
-  /// result materialization, no dump).  Surfaced in `/v1/stats`.
+  /// `/v1/run` responses streamed from the byte cache (memory or disk):
+  /// no evaluation, no dump.  Surfaced in `/v1/stats`.
   std::atomic<std::uint64_t> fast_path_hits{0};
 
  private:
   /// Declaration order is load-bearing: the store outlives the cache
-  /// that points at it, and the cache outlives the engine wired to it.
+  /// that points at it.
   std::optional<scenario::CacheStore> store_;
-  scenario::ResultCache cache_;
+  scenario::BodyCache cache_;
   scenario::Engine engine_;
   const device::PlatformRegistry* registry_;
-  RenderedBodyCache rendered_;
 };
 
 /// Build the dispatch table over `context` (which must outlive the

@@ -1,14 +1,15 @@
-/// Tests for the content-addressed disk cache store: byte-identical
-/// round-trips through the canonical result JSON, absent/corrupt/
-/// truncated files degrading to miss, full-key verification rejecting
-/// fingerprint collisions, directory creation, and startup failure on an
-/// unusable path.
+/// Tests for the content-addressed disk cache store: bodies stored and
+/// loaded verbatim behind a key line, absent/corrupt/truncated files and
+/// entries in the older `{"key", "result"}` format degrading to miss,
+/// full-key verification rejecting fingerprint collisions, directory
+/// creation, and startup failure on an unusable path.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -23,15 +24,23 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ScenarioResult small_result(int app_count) {
+/// The rendered `/v1/run` body of a small compare spec: multi-line
+/// pretty JSON ending in a newline, as serve stores it.
+std::string small_body(int app_count) {
   ScenarioSpec spec = ScenarioSpec::make(ScenarioKind::compare, device::Domain::dnn);
   spec.name = "store test " + std::to_string(app_count);
   spec.schedule.app_count = app_count;
-  return Engine(EngineOptions{.threads = 1}).run(spec);
+  std::string text;
+  result_to_json(Engine(EngineOptions{.threads = 1}).run(spec)).dump_to(text);
+  text.push_back('\n');
+  return text;
 }
 
-std::string canonical(const ScenarioResult& result) {
-  return result_to_json(result).dump();
+std::string file_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 /// A per-test scratch directory (unique per test name: ctest runs test
@@ -51,12 +60,14 @@ class CacheStoreTest : public ::testing::Test {
 TEST_F(CacheStoreTest, RoundTripIsByteIdenticalAndCreatesTheDirectory) {
   ASSERT_FALSE(fs::exists(dir_ + "/nested"));
   CacheStore store(dir_ + "/nested");  // parents created on construction
-  const ScenarioResult result = small_result(1);
-  ASSERT_TRUE(store.save("the key", result));
+  const std::string body = small_body(1);
+  ASSERT_TRUE(store.save("the key", body));
   ASSERT_TRUE(fs::is_regular_file(store.path_for("the key")));
-  const std::shared_ptr<const ScenarioResult> loaded = store.load("the key");
+  // The file is the key line, then the body verbatim.
+  EXPECT_EQ(file_text(store.path_for("the key")), "the key\n" + body);
+  const std::shared_ptr<const std::string> loaded = store.load("the key");
   ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(canonical(*loaded), canonical(result));
+  EXPECT_EQ(*loaded, body);
 }
 
 TEST_F(CacheStoreTest, PathIsTheKeyFingerprint) {
@@ -73,12 +84,15 @@ TEST_F(CacheStoreTest, AbsentEntryLoadsAsNull) {
 
 TEST_F(CacheStoreTest, CorruptOrTruncatedFilesLoadAsNull) {
   CacheStore store(dir_);
-  ASSERT_TRUE(store.save("k", small_result(1)));
-  // Unparsable JSON.
+  ASSERT_TRUE(store.save("k", small_body(1)));
+  // No key line.
   std::ofstream(store.path_for("k"), std::ios::trunc) << "{ not json";
   EXPECT_EQ(store.load("k"), nullptr);
-  // Valid JSON, wrong schema.
-  std::ofstream(store.path_for("k"), std::ios::trunc) << R"({"key": "k"})";
+  // A key line but no body.
+  std::ofstream(store.path_for("k"), std::ios::trunc) << "k\n";
+  EXPECT_EQ(store.load("k"), nullptr);
+  // A first line that only starts with the key.
+  std::ofstream(store.path_for("k"), std::ios::trunc) << "kk\n{}\n";
   EXPECT_EQ(store.load("k"), nullptr);
   // Empty file (a crashed writer can't leave this -- renames are atomic
   // -- but an operator's stray file can).
@@ -90,10 +104,8 @@ TEST_F(CacheStoreTest, EmbeddedKeyMismatchIsAMiss) {
   // The file name is only a 64-bit fingerprint; a (forced) collision
   // must read as a miss for the other key, never as its answer.
   CacheStore store(dir_);
-  const ScenarioResult result = small_result(1);
-  ASSERT_TRUE(store.save("actual key", result));
-  io::Json entry = io::parse_json_file(store.path_for("actual key"));
-  EXPECT_EQ(entry.at("key").as_string(), "actual key");
+  ASSERT_TRUE(store.save("actual key", small_body(1)));
+  EXPECT_EQ(file_text(store.path_for("actual key")).rfind("actual key\n", 0), 0u);
   // Impersonate a collision: copy the file to another key's slot.
   fs::copy_file(store.path_for("actual key"), store.path_for("other key"));
   EXPECT_EQ(store.load("other key"), nullptr);
@@ -103,20 +115,20 @@ TEST_F(CacheStoreTest, EmbeddedKeyMismatchIsAMiss) {
 
 TEST_F(CacheStoreTest, DistinctKeysCoexist) {
   CacheStore store(dir_);
-  const ScenarioResult one = small_result(1);
-  const ScenarioResult two = small_result(2);
+  const std::string one = small_body(1);
+  const std::string two = small_body(2);
   ASSERT_TRUE(store.save("one", one));
   ASSERT_TRUE(store.save("two", two));
-  EXPECT_EQ(canonical(*store.load("one")), canonical(one));
-  EXPECT_EQ(canonical(*store.load("two")), canonical(two));
+  EXPECT_EQ(*store.load("one"), one);
+  EXPECT_EQ(*store.load("two"), two);
 }
 
 TEST_F(CacheStoreTest, SaveOverwritesInPlaceAndLeavesNoTempFiles) {
   CacheStore store(dir_);
-  ASSERT_TRUE(store.save("k", small_result(1)));
-  const ScenarioResult updated = small_result(2);
+  ASSERT_TRUE(store.save("k", small_body(1)));
+  const std::string updated = small_body(2);
   ASSERT_TRUE(store.save("k", updated));
-  EXPECT_EQ(canonical(*store.load("k")), canonical(updated));
+  EXPECT_EQ(*store.load("k"), updated);
   std::size_t files = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
     EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
@@ -135,6 +147,27 @@ TEST_F(CacheStoreTest, UnusableDirectoryFailsAtConstruction) {
   fs::remove(blocker);
 }
 
+TEST(CacheStore, PrePrFormatEntryIsAMiss) {
+  // Entries used to be one compact JSON line, {"key": ..., "result": ...}.
+  // Its first line is not the bare key, so it loads as a miss, and the
+  // next save replaces it with the key-line format.
+  const std::string dir = ::testing::TempDir() + "/greenfpga_cache_store_old_format";
+  fs::remove_all(dir);
+  CacheStore store(dir);
+  const std::string key = R"({"platforms":[],"spec":{"kind":"compare"}})";
+  io::Json entry = io::Json::object();
+  entry["key"] = key;
+  entry["result"] = io::parse_json(small_body(1));
+  std::ofstream(store.path_for(key), std::ios::trunc) << entry.dump(0) << '\n';
+  EXPECT_EQ(store.load(key), nullptr);
+  const std::string body = small_body(2);
+  ASSERT_TRUE(store.save(key, body));
+  ASSERT_NE(store.load(key), nullptr);
+  EXPECT_EQ(*store.load(key), body);
+  EXPECT_EQ(file_text(store.path_for(key)), key + "\n" + body);
+  fs::remove_all(dir);
+}
+
 TEST(CacheStore, SaveFailingAtCloseLeavesNoEntry) {
   // The first temp file of a fresh store is path_for(key) + ".tmp.0";
   // pointing it at /dev/full makes the open and the buffered write succeed
@@ -145,9 +178,7 @@ TEST(CacheStore, SaveFailingAtCloseLeavesNoEntry) {
   const std::string dir = ::testing::TempDir() + "/greenfpga_cache_store_full";
   fs::remove_all(dir);
   CacheStore store(dir);
-  ScenarioResult tiny;
-  tiny.spec.name = "tiny";
-  ASSERT_LT(canonical(tiny).size(), 4096u) << "the entry must fit the stream buffer";
+  const std::string tiny = "{\"tiny\": true}\n";
   const std::string final_path = store.path_for("small key");
   fs::create_symlink("/dev/full", final_path + ".tmp.0");
 

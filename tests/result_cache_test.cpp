@@ -1,8 +1,11 @@
-/// Tests for the content-addressed LRU result cache and its engine hook:
-/// hit/miss/eviction determinism (a cached result is byte-identical to a
-/// cold run), capacity-bound eviction order, batch dedup, sharded
-/// counters staying exact, the disk tier promoting on memory miss, and
-/// multi-threaded hammers (run under the ASan+UBSan CI job).
+/// Tests for the content-addressed sharded LRU, through its byte
+/// instantiation (`BodyCache`, serve's cache of rendered bodies):
+/// hit/miss/eviction counters, capacity-bound eviction order, evicted
+/// entries outliving their holders, sharded counters staying exact, the
+/// disk tier promoting on memory miss, a multi-threaded hammer (run under
+/// the ASan+UBSan CI job), and the engine's content key.  The engine keeps
+/// no cache; hit/miss behaviour over real requests is pinned by
+/// tests/serve_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -30,20 +33,19 @@ ScenarioSpec compare_spec(int app_count) {
   return spec;
 }
 
-std::string canonical(const ScenarioResult& result) {
-  return result_to_json(result).dump();
-}
-
-std::shared_ptr<const ScenarioResult> result_of(const ScenarioSpec& spec) {
-  return std::make_shared<const ScenarioResult>(
-      Engine(EngineOptions{.threads = 1}).run(spec));
+/// The rendered `/v1/run` body of `spec`: what serve caches.
+std::shared_ptr<const std::string> body_of(const ScenarioSpec& spec) {
+  std::string text;
+  result_to_json(Engine(EngineOptions{.threads = 1}).run(spec)).dump_to(text);
+  text.push_back('\n');
+  return std::make_shared<const std::string>(std::move(text));
 }
 
 TEST(ResultCache, MissThenHitWithCounters) {
-  ResultCache cache(8);
+  BodyCache cache(8);
   EXPECT_EQ(cache.lookup("k"), nullptr);
-  cache.insert("k", result_of(compare_spec(1)));
-  const std::shared_ptr<const ScenarioResult> hit = cache.lookup("k");
+  cache.insert("k", body_of(compare_spec(1)));
+  const std::shared_ptr<const std::string> hit = cache.lookup("k");
   ASSERT_NE(hit, nullptr);
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -54,15 +56,15 @@ TEST(ResultCache, MissThenHitWithCounters) {
 }
 
 TEST(ResultCache, InsertRejectsNull) {
-  ResultCache cache(2);
+  BodyCache cache(2);
   EXPECT_THROW(cache.insert("k", nullptr), std::invalid_argument);
 }
 
 TEST(ResultCache, CapacityBoundEvictionIsLeastRecentlyUsed) {
-  ResultCache cache(2);
-  const auto a = result_of(compare_spec(1));
-  const auto b = result_of(compare_spec(2));
-  const auto c = result_of(compare_spec(3));
+  BodyCache cache(2);
+  const auto a = body_of(compare_spec(1));
+  const auto b = body_of(compare_spec(2));
+  const auto c = body_of(compare_spec(3));
   cache.insert("a", a);
   cache.insert("b", b);
   // Freshen "a": "b" becomes the LRU entry.
@@ -76,19 +78,19 @@ TEST(ResultCache, CapacityBoundEvictionIsLeastRecentlyUsed) {
 }
 
 TEST(ResultCache, EvictedEntrySurvivesForHolders) {
-  // A reader holding the shared_ptr keeps its snapshot alive across
-  // eviction (the serve handler may still be serializing it).
-  ResultCache cache(1);
-  cache.insert("a", result_of(compare_spec(1)));
-  const std::shared_ptr<const ScenarioResult> held = cache.lookup("a");
-  cache.insert("b", result_of(compare_spec(2)));
+  // A reader holding the shared_ptr keeps its bytes alive across
+  // eviction (the serve handler may still be copying them out).
+  BodyCache cache(1);
+  cache.insert("a", body_of(compare_spec(1)));
+  const std::shared_ptr<const std::string> held = cache.lookup("a");
+  cache.insert("b", body_of(compare_spec(2)));
   EXPECT_EQ(cache.lookup("a"), nullptr);
-  EXPECT_EQ(held->spec.schedule.app_count, 1);
+  EXPECT_EQ(*held, *body_of(compare_spec(1)));
 }
 
 TEST(ResultCache, ClearKeepsLifetimeCounters) {
-  ResultCache cache(4);
-  cache.insert("a", result_of(compare_spec(1)));
+  BodyCache cache(4);
+  cache.insert("a", body_of(compare_spec(1)));
   EXPECT_NE(cache.lookup("a"), nullptr);
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
@@ -97,7 +99,7 @@ TEST(ResultCache, ClearKeepsLifetimeCounters) {
 }
 
 TEST(ResultCache, ZeroCapacityClampsToOne) {
-  ResultCache cache(0);
+  BodyCache cache(0);
   EXPECT_EQ(cache.stats().capacity, 1u);
 }
 
@@ -105,8 +107,8 @@ TEST(ResultCache, ShardedCountersStayExact) {
   // Capacity 4 over 2 shards (2 each).  Ten distinct keys land on shards
   // by FNV-1a digest; whatever the split, the aggregated counters must
   // account for every operation exactly.
-  ResultCache cache(4, 2);
-  const auto result = result_of(compare_spec(1));
+  BodyCache cache(4, 2);
+  const auto result = body_of(compare_spec(1));
   for (int i = 0; i < 10; ++i) {
     cache.insert("key " + std::to_string(i), result);
   }
@@ -130,13 +132,13 @@ TEST(ResultCache, ShardedCountersStayExact) {
 
 TEST(ResultCache, ShardCapacityRoundsUp) {
   // ceil(5 / 4) = 2 per shard: the effective total is 8, never 4.
-  const ResultCache cache(5, 4);
+  const BodyCache cache(5, 4);
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.shards, 4u);
   EXPECT_EQ(stats.capacity, 8u);
   // Degenerate inputs clamp instead of dividing by zero.
-  EXPECT_EQ(ResultCache(0, 0).stats().capacity, 1u);
-  EXPECT_EQ(ResultCache(0, 0).stats().shards, 1u);
+  EXPECT_EQ(BodyCache(0, 0).stats().capacity, 1u);
+  EXPECT_EQ(BodyCache(0, 0).stats().shards, 1u);
 }
 
 TEST(ResultCache, ShardedHammerAccountsForEveryOperation) {
@@ -145,8 +147,8 @@ TEST(ResultCache, ShardedHammerAccountsForEveryOperation) {
   constexpr int kThreads = 8;
   constexpr int kIterations = 200;
   constexpr int kKeys = 16;
-  ResultCache cache(8, 4);
-  const auto result = result_of(compare_spec(1));
+  BodyCache cache(8, 4);
+  const auto result = body_of(compare_spec(1));
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -174,16 +176,16 @@ TEST(ResultCache, DiskTierPromotesOnMemoryMissAndSurvivesEviction) {
   std::filesystem::remove_all(dir);
   CacheStore store(dir);
   const ScenarioSpec spec = compare_spec(1);
-  const auto a = result_of(spec);
-  const auto b = result_of(compare_spec(2));
+  const auto a = body_of(spec);
+  const auto b = body_of(compare_spec(2));
   {
-    ResultCache cache(1);
+    BodyCache cache(1);
     cache.attach_store(&store);
     cache.insert("a", a);
     cache.insert("b", b);  // evicts "a" from memory; disk keeps it
-    const std::shared_ptr<const ScenarioResult> back = cache.lookup("a");
+    const std::shared_ptr<const std::string> back = cache.lookup("a");
     ASSERT_NE(back, nullptr);
-    EXPECT_EQ(canonical(*back), canonical(*a));
+    EXPECT_EQ(*back, *a);
     const ResultCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.disk_hits, 1u);
@@ -191,11 +193,11 @@ TEST(ResultCache, DiskTierPromotesOnMemoryMissAndSurvivesEviction) {
   }
   // A fresh cache over the same store: still answered, from disk.
   {
-    ResultCache cache(4);
+    BodyCache cache(4);
     cache.attach_store(&store);
-    const std::shared_ptr<const ScenarioResult> back = cache.lookup("b");
+    const std::shared_ptr<const std::string> back = cache.lookup("b");
     ASSERT_NE(back, nullptr);
-    EXPECT_EQ(canonical(*back), canonical(*b));
+    EXPECT_EQ(*back, *b);
     // Promoted: the second lookup is a pure memory hit.
     ASSERT_NE(cache.lookup("b"), nullptr);
     const ResultCacheStats stats = cache.stats();
@@ -205,41 +207,13 @@ TEST(ResultCache, DiskTierPromotesOnMemoryMissAndSurvivesEviction) {
   // A corrupted entry degrades to an honest miss, never a wrong answer.
   {
     std::ofstream(store.path_for("a"), std::ios::trunc) << "{ not json";
-    ResultCache cache(4);
+    BodyCache cache(4);
     cache.attach_store(&store);
     EXPECT_EQ(cache.lookup("a"), nullptr);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().disk_hits, 0u);
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(ResultCache, EngineRunReturnsByteIdenticalCachedResult) {
-  ResultCache cache(8);
-  const Engine cached(EngineOptions{.threads = 1, .cache = &cache});
-  const Engine cold(EngineOptions{.threads = 1});
-  const ScenarioSpec spec = compare_spec(4);
-  const std::string first = canonical(cached.run(spec));
-  EXPECT_EQ(cache.stats().misses, 1u);
-  const std::string second = canonical(cached.run(spec));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, canonical(cold.run(spec)));
-}
-
-TEST(ResultCache, RunCachedReportsHitAndStableKey) {
-  ResultCache cache(8);
-  const Engine engine(EngineOptions{.threads = 1, .cache = &cache});
-  const Engine::CachedRun first = engine.run_cached(compare_spec(2));
-  EXPECT_FALSE(first.hit);
-  const Engine::CachedRun second = engine.run_cached(compare_spec(2));
-  EXPECT_TRUE(second.hit);
-  EXPECT_EQ(first.key, second.key);
-  EXPECT_EQ(second.result, first.result);  // the same shared snapshot
-  EXPECT_NE(engine.run_cached(compare_spec(3)).key, first.key);
-  // Without a configured cache, run_cached still evaluates.
-  const Engine uncached(EngineOptions{.threads = 1});
-  EXPECT_FALSE(uncached.run_cached(compare_spec(2)).hit);
 }
 
 TEST(ResultCache, CacheKeyCoversSuiteAndResolvedPlatforms) {
@@ -262,72 +236,25 @@ TEST(ResultCache, CacheKeyCoversSuiteAndResolvedPlatforms) {
   EXPECT_EQ(io::content_digest(base), io::content_digest(engine.cache_key(spec)));
 }
 
-TEST(ResultCache, RunBatchEvaluatesRepeatedSpecsOnce) {
-  ResultCache cache(16);
-  const Engine engine(EngineOptions{.threads = 2, .cache = &cache});
-  const ScenarioSpec a = compare_spec(1);
-  const ScenarioSpec b = compare_spec(2);
-  const std::vector<ScenarioResult> results = engine.run_batch({a, b, a, a});
-  ASSERT_EQ(results.size(), 4u);
-  // One lookup (miss) per *distinct* key, not per spec.
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(canonical(results[0]), canonical(results[2]));
-  EXPECT_EQ(canonical(results[0]), canonical(results[3]));
-  // Batch results match cold individual runs byte-for-byte.
-  const Engine cold(EngineOptions{.threads = 1});
-  EXPECT_EQ(canonical(results[0]), canonical(cold.run(a)));
-  EXPECT_EQ(canonical(results[1]), canonical(cold.run(b)));
-  // A second batch over the same specs is served from the cache.
-  const std::vector<ScenarioResult> again = engine.run_batch({a, b});
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(canonical(again[0]), canonical(results[0]));
-  EXPECT_EQ(canonical(again[1]), canonical(results[1]));
+TEST(ResultCache, ContentKeyFingerprintIsTheHashOfTheKey) {
+  // One prepare yields both the key bytes serve looks up and the
+  // fingerprint it reports as X-Cache-Key.
+  const Engine engine(EngineOptions{.threads = 1});
+  const Engine::ContentKey key = Engine::content_key(engine.prepare(compare_spec(2)));
+  EXPECT_EQ(key.bytes, engine.cache_key(compare_spec(2)));
+  EXPECT_EQ(key.fingerprint, io::fnv1a64(key.bytes));
 }
 
-TEST(ResultCache, MultiThreadedHammerStaysDeterministic) {
-  // Many threads, few distinct specs, a capacity small enough to force
-  // eviction churn: every returned result must still be byte-identical
-  // to the cold answer for its spec (raced under ASan+UBSan in CI).
-  constexpr int kThreads = 8;
-  constexpr int kIterations = 25;
-  constexpr int kSpecs = 4;
-  std::vector<std::string> expected;
-  std::vector<ScenarioSpec> specs;
-  for (int s = 0; s < kSpecs; ++s) {
-    specs.push_back(compare_spec(s + 1));
-    expected.push_back(canonical(Engine(EngineOptions{.threads = 1}).run(specs.back())));
-  }
-  ResultCache cache(2);  // smaller than the working set: constant eviction
-  const Engine engine(EngineOptions{.threads = 1, .cache = &cache});
-  std::vector<std::string> failures(kThreads);
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (int i = 0; i < kIterations; ++i) {
-        const int s = (t + i) % kSpecs;
-        const Engine::CachedRun run = engine.run_cached(specs[s]);
-        if (canonical(*run.result) != expected[s]) {
-          failures[t] = "thread " + std::to_string(t) + " iteration " +
-                        std::to_string(i) + ": wrong result for spec " +
-                        std::to_string(s);
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& worker : pool) {
-    worker.join();
-  }
-  for (const std::string& failure : failures) {
-    EXPECT_TRUE(failure.empty()) << failure;
-  }
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::uint64_t>(kThreads) * kIterations);
-  EXPECT_LE(stats.size, 2u);
-  EXPECT_GT(stats.evictions, 0u);
+TEST(ResultCache, ResultInstantiationSharesTheLru) {
+  // `ResultCache` is the same LRU over evaluated results.
+  ResultCache cache(1);
+  const auto result = std::make_shared<const ScenarioResult>(
+      Engine(EngineOptions{.threads = 1}).run(compare_spec(1)));
+  cache.insert("a", result);
+  EXPECT_EQ(cache.lookup("a"), result);
+  cache.insert("b", result);
+  EXPECT_EQ(cache.lookup("a"), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 }  // namespace

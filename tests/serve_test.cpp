@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -29,6 +30,7 @@
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/result_io.hpp"
+#include "scenario/spec.hpp"
 #include "serve/handlers.hpp"
 #include "serve/http.hpp"
 #include "serve/server.hpp"
@@ -209,7 +211,7 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   ASSERT_EQ(cold.status, 200) << cold.body;
   EXPECT_EQ(cold.header_or("x-cache"), "miss");
   EXPECT_EQ(context_.fast_path_hits.load(), 0u);
-  EXPECT_EQ(context_.rendered().size(), 1u);
+  EXPECT_EQ(context_.cache().stats().size, 1u);
 
   // Warm, same bytes: engine hit + rendered-body hit, response
   // byte-identical to the cold render.
@@ -226,7 +228,7 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   EXPECT_EQ(variant.header_or("x-cache"), "hit");
   EXPECT_EQ(variant.body, cold.body);
   EXPECT_EQ(context_.fast_path_hits.load(), 2u);
-  EXPECT_EQ(context_.rendered().size(), 1u);
+  EXPECT_EQ(context_.cache().stats().size, 1u);
 
   // The cache-key header is the engine key's digest, identical across
   // all three; the request digest tracks the POSTed bytes (facade dumps
@@ -261,6 +263,65 @@ TEST_F(ServeTest, BatchMatchesIndividualRunsAndDedups) {
   EXPECT_EQ(results.at(std::size_t{2}).dump(), results.at(std::size_t{0}).dump());
   // The repeat was deduplicated: two distinct keys -> two misses.
   EXPECT_EQ(context_.cache().stats().misses, 2u);
+}
+
+TEST_F(ServeTest, BatchBodyIsByteIdenticalColdAndWarm) {
+  // Every shipped example spec plus a repeat of the first, as one batch.
+  // The spliced body must equal the pretty dump of a Json array of the
+  // results plus a newline -- cold (all misses) and warm (all hits).
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(GREENFPGA_EXAMPLE_SPECS_DIR)) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<ScenarioSpec> specs;
+  io::Json specs_json = io::Json::array();
+  for (const std::filesystem::path& path : paths) {
+    const io::Json parsed = io::parse_json_file(path.string());
+    if (parsed.contains("specs")) {
+      continue;  // the batch manifest
+    }
+    specs.push_back(scenario::load_spec_json(parsed, path.string()));
+    specs_json.push_back(parsed);
+  }
+  ASSERT_GE(specs.size(), 2u);
+  specs.push_back(specs.front());
+  specs_json.push_back(specs_json.at(std::size_t{0}));
+  io::Json request = io::Json::object();
+  request["specs"] = std::move(specs_json);
+  const scenario::Engine engine(scenario::EngineOptions{.threads = 1});
+  io::Json results = io::Json::array();
+  for (const ScenarioSpec& spec : specs) {
+    results.push_back(scenario::result_to_json(engine.run(spec)));
+  }
+  const std::string expected = results.dump() + "\n";
+  const std::uint64_t distinct = specs.size() - 1;
+
+  HttpClient http = client();
+  const HttpResponse cold = http.request("POST", "/v1/batch", request.dump());
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  EXPECT_EQ(cold.body, expected);
+  EXPECT_EQ(context_.cache().stats().misses, distinct);
+  EXPECT_EQ(context_.cache().stats().hits, 0u);
+  const HttpResponse warm = http.request("POST", "/v1/batch", request.dump());
+  ASSERT_EQ(warm.status, 200);
+  EXPECT_EQ(warm.body, expected);
+  EXPECT_EQ(context_.cache().stats().misses, distinct);
+  EXPECT_EQ(context_.cache().stats().hits, distinct);
+
+  // The batch filled the same cache /v1/run reads.
+  const HttpResponse run =
+      http.request("POST", "/v1/run", spec_to_json(specs.front()).dump());
+  ASSERT_EQ(run.status, 200);
+  EXPECT_EQ(run.header_or("x-cache"), "hit");
+  EXPECT_EQ(run.body, cli_json_bytes(specs.front()));
+
+  // An empty batch is an empty array.
+  const HttpResponse empty = http.request("POST", "/v1/batch", R"({"specs": []})");
+  ASSERT_EQ(empty.status, 200);
+  EXPECT_EQ(empty.body, io::Json::array().dump() + "\n");
 }
 
 TEST_F(ServeTest, BadSpecAnswers400NamingTheOffendingKey) {
@@ -357,6 +418,59 @@ TEST_F(ServeTest, ConcurrentClientsGetIdenticalBytes) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kClients) * kRequests);
   EXPECT_EQ(stats.size, 1u);  // one distinct spec
+}
+
+TEST(ServeServer, ConcurrentClientsUnderEvictionChurnGetIdenticalBytes) {
+  // Many clients, four specs, a two-entry cache: constant eviction, and
+  // every body must still be the CLI's bytes for its spec.
+  constexpr int kClients = 6;
+  constexpr int kRequests = 12;
+  constexpr int kSpecs = 4;
+  std::vector<std::string> bodies;
+  std::vector<std::string> expected;
+  for (int s = 0; s < kSpecs; ++s) {
+    ScenarioSpec spec = spec_for(ScenarioKind::compare);
+    spec.schedule.app_count = s + 1;
+    bodies.push_back(spec_to_json(spec).dump());
+    expected.push_back(cli_json_bytes(spec));
+  }
+  ServeContext context(scenario::EngineOptions{.threads = 1}, /*cache_capacity=*/2,
+                       /*cache_shards=*/1);
+  Server server(make_router(context), ServerOptions{});
+  server.start();
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        HttpClient http("127.0.0.1", server.port());
+        for (int r = 0; r < kRequests; ++r) {
+          const int s = (c + r) % kSpecs;
+          const HttpResponse response = http.request("POST", "/v1/run", bodies[s]);
+          if (response.status != 200 || response.body != expected[s]) {
+            failures[c] = "client " + std::to_string(c) + " request " +
+                          std::to_string(r) + ": wrong body for spec " + std::to_string(s);
+            return;
+          }
+        }
+      } catch (const std::exception& error) {
+        failures[c] = error.what();
+      }
+    });
+  }
+  for (std::thread& worker : clients) {
+    worker.join();
+  }
+  server.stop();
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  const scenario::ResultCacheStats stats = context.cache().stats();
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(kClients) * kRequests);
+  EXPECT_EQ(context.fast_path_hits.load(), stats.hits);
+  EXPECT_LE(stats.size, 2u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 /// A raw TCP connection for driving the server below the HttpClient
