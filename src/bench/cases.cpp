@@ -14,7 +14,6 @@
 
 #include "bench/harness.hpp"
 #include "io/json.hpp"
-#include "io/json_arena.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/kind_registry.hpp"
 #include "scenario/result_cache.hpp"
@@ -270,15 +269,14 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_result",
-      .description = "io::parse_json_arena of a large canonical result document "
-                     "(25x24 grid result) -- the serve/cache ingestion path",
+      .description = "io::parse_json_hashed of a large canonical result document "
+                     "(25x24 grid result): tree plus canonical digest in one pass",
       .setup = [] {
         auto text = std::make_shared<std::string>(large_result_text());
         return PreparedCase{.op =
                                 [text] {
-                                  const io::JsonDocument parsed =
-                                      io::parse_json_arena(*text);
-                                  g_sink = parsed.root().size();
+                                  const io::ParsedJson parsed = io::parse_json_hashed(*text);
+                                  g_sink = parsed.value.size();
                                 },
                             .iterations = 1,
                             .bytes_per_op = static_cast<double>(text->size())};
@@ -287,8 +285,8 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_result_facade",
-      .description = "io::parse_json of the same large result document into the "
-                     "mutable Json facade (the result re-import path)",
+      .description = "io::parse_json of the same large result document, no "
+                     "digest",
       .setup = [] {
         auto text = std::make_shared<std::string>(large_result_text());
         return PreparedCase{.op =
@@ -321,16 +319,16 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_spec",
-      .description = "io::parse_json_arena with hash-while-parse of one serve "
-                     "request body (the /v1/run spec shape, pretty form)",
+      .description = "io::parse_json_hashed of one serve request body (the "
+                     "/v1/run spec shape, pretty form) -- serve's /v1/run parse",
       .setup = [] {
         auto text = std::make_shared<std::string>(spec_request_text());
         return PreparedCase{.op =
                                 [text] {
-                                  const io::JsonDocument parsed = io::parse_json_arena(
-                                      *text, {}, /*hash_canonical=*/true);
+                                  const io::ParsedJson parsed = io::parse_json_hashed(
+                                      *text, io::JsonParseOptions{.allow_comments = true});
                                   g_sink = static_cast<std::size_t>(
-                                      parsed.parse_digest().value_or(0));
+                                      parsed.canonical_digest.value_or(0));
                                 },
                             .iterations = 32,
                             .bytes_per_op = static_cast<double>(text->size())};
@@ -359,15 +357,15 @@ std::vector<BenchCase> builtin_cases() {
   cases.push_back(BenchCase{
       .group = "json",
       .name = "parse_manifest",
-      .description = "io::parse_json_arena of a /v1/batch manifest embedding the "
-                     "five fleet specs",
+      .description = "io::parse_json of a /v1/batch manifest embedding the five "
+                     "fleet specs -- serve's /v1/batch parse",
       .setup = [] {
         auto text = std::make_shared<std::string>(batch_manifest_text());
         return PreparedCase{.op =
                                 [text] {
-                                  const io::JsonDocument parsed =
-                                      io::parse_json_arena(*text);
-                                  g_sink = parsed.root().size();
+                                  const io::Json parsed = io::parse_json(
+                                      *text, io::JsonParseOptions{.allow_comments = true});
+                                  g_sink = parsed.size();
                                 },
                             .iterations = 8,
                             .bytes_per_op = static_cast<double>(text->size())};

@@ -1,17 +1,15 @@
 /// \file json.cpp
-/// RFC 8259 JSON value model plus the facade side of the shared parser
-/// and writer (src/io/json_detail.hpp).
+/// RFC 8259 JSON value model, parser entry points and writer (the parser
+/// and writer primitives live in src/io/json_detail.hpp).
 
 #include "io/json.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "io/json_detail.hpp"
@@ -69,23 +67,6 @@ bool Json::as_bool() const {
 }
 
 double Json::as_number() const {
-  if (!is_number()) throw_type_error(Type::number, type());
-  return std::get<double>(value_);
-}
-
-double Json::as_number_total() const {
-  if (is_string()) {
-    // The writer's non-finite encoding: JSON has no inf/nan literal, so
-    // dump() emits these exact string sentinels in number position and
-    // this accessor decodes them, keeping the *result* round-trip total.
-    // Deliberately not part of as_number(): config/spec ingestion stays
-    // strict, so untrusted input cannot smuggle non-finite values past
-    // comparison-based validation.
-    const std::string& s = std::get<std::string>(value_);
-    if (s == "inf") return std::numeric_limits<double>::infinity();
-    if (s == "-inf") return -std::numeric_limits<double>::infinity();
-    if (s == "nan") return std::numeric_limits<double>::quiet_NaN();
-  }
   if (!is_number()) throw_type_error(Type::number, type());
   return std::get<double>(value_);
 }
@@ -190,7 +171,7 @@ namespace detail {
 std::size_t format_number_to(char* buffer, double n) {
   if (!std::isfinite(n)) {
     // The canonical non-finite text tokens (quoted by the JSON writer,
-    // bare in CSV); parse back via Json::as_number_total.
+    // bare in CSV); they read back as strings, never as numbers.
     if (std::isnan(n)) {
       std::memcpy(buffer, "nan", 3);
       return 3;
@@ -295,76 +276,16 @@ std::string format_number(double n) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser (facade side of the shared core)
+// Parser
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Builds mutable `Json` values from the shared parser core.  Object
-/// members accumulate directly into the sorted flat storage: canonical
-/// input (keys already sorted) appends in O(1); out-of-order keys pay one
-/// mid-vector insert.
-struct FacadeBuilder {
-  using Value = Json;
-
-  struct ArrayCtx {
-    Json::Array elements;
-  };
-  struct ObjectCtx {
-    JsonObject::Storage members;
-    std::size_t pending = 0;  ///< index the next member_value fills
-  };
-
-  Json null_value() { return Json(nullptr); }
-  Json boolean(bool b) { return Json(b); }
-  Json number(double n) { return Json(n); }
-  Json string_value(std::string_view s) { return Json(std::string(s)); }
-
-  ArrayCtx array_begin() { return {}; }
-  void array_push(ArrayCtx& ctx, Json value) { ctx.elements.push_back(std::move(value)); }
-  Json array_end(ArrayCtx& ctx) { return Json(std::move(ctx.elements)); }
-
-  ObjectCtx object_begin() { return {}; }
-
-  detail::MemberOrder member_key(ObjectCtx& ctx, std::string_view key) {
-    if (ctx.members.empty() || std::string_view(ctx.members.back().first) < key) {
-      ctx.pending = ctx.members.size();
-      ctx.members.emplace_back(std::string(key), Json());
-      return detail::MemberOrder::appended;
-    }
-    const auto it = std::lower_bound(
-        ctx.members.begin(), ctx.members.end(), key,
-        [](const JsonObject::Member& m, std::string_view k) {
-          return std::string_view(m.first) < k;
-        });
-    if (it != ctx.members.end() && it->first == key) {
-      return detail::MemberOrder::duplicate;
-    }
-    ctx.pending = static_cast<std::size_t>(it - ctx.members.begin());
-    ctx.members.emplace(it, std::string(key), Json());
-    return detail::MemberOrder::inserted;
-  }
-
-  void member_value(ObjectCtx& ctx, Json value) {
-    ctx.members[ctx.pending].second = std::move(value);
-  }
-
-  Json object_end(ObjectCtx& ctx) {
-    return Json(JsonObject::adopt_sorted(std::move(ctx.members)));
-  }
-};
-
-}  // namespace
-
 Json parse_json(std::string_view text, JsonParseOptions options) {
-  FacadeBuilder builder;
-  detail::ParserCore<FacadeBuilder> parser(text, options, builder, /*hash_canonical=*/false);
+  detail::Parser parser(text, options, /*hash_canonical=*/false);
   return parser.parse_document();
 }
 
 ParsedJson parse_json_hashed(std::string_view text, JsonParseOptions options) {
-  FacadeBuilder builder;
-  detail::ParserCore<FacadeBuilder> parser(text, options, builder, /*hash_canonical=*/true);
+  detail::Parser parser(text, options, /*hash_canonical=*/true);
   Json value = parser.parse_document();
   return ParsedJson{std::move(value), parser.canonical_digest()};
 }

@@ -11,21 +11,18 @@
 /// `//` comments in *config* mode), a pretty-printing writer, and a value
 /// model with checked accessors that raise `JsonError` with a useful path.
 ///
-/// Two document models share one parser and one writer (src/io/json_detail.hpp):
+/// `Json` is the one document model: every caller builds, edits, parses
+/// into and dumps from it, over one parser and one writer
+/// (src/io/json_detail.hpp).  Objects are sorted flat vectors
+/// (`JsonObject`), not node-per-member maps, so parsing canonical
+/// (already key-sorted) input appends in O(1) with no per-member tree
+/// allocation, and iteration order is the canonical dump order by
+/// construction.
 ///
-///   * `Json` (here) -- the mutable value facade every caller builds and
-///     edits.  Objects are sorted flat vectors (`JsonObject`), not
-///     node-per-member maps, so parsing canonical (already key-sorted)
-///     input appends in O(1) with no per-member tree allocation, and
-///     iteration order is the canonical dump order by construction.
-///   * `JsonDocument` (json_arena.hpp) -- an immutable arena-backed DOM
-///     for read-mostly hot paths (serve request ingestion): every node,
-///     string and member span lives in one monotonic buffer owned by the
-///     document.
-///
-/// Both parsers can compute the FNV-1a digest of the document's canonical
+/// The parser can compute the FNV-1a digest of the document's canonical
 /// compact byte stream *while parsing* (`parse_json_hashed`), so a serve
-/// request can be fingerprinted without ever re-serializing it.
+/// request is fingerprinted in the same pass that builds its tree,
+/// without ever re-serializing it.
 
 #include <cstdint>
 #include <initializer_list>
@@ -71,8 +68,8 @@ class JsonObject {
   JsonObject() = default;
 
   /// Adopt a member vector that is already sorted by key with no
-  /// duplicates (the parser's and the arena materializer's fast path).
-  /// Precondition checked in debug builds only.
+  /// duplicates (the parser's fast path).  The precondition is not
+  /// checked.
   [[nodiscard]] static JsonObject adopt_sorted(Storage members);
 
   [[nodiscard]] iterator begin() { return members_.begin(); }
@@ -152,15 +149,9 @@ class Json {
   // -- checked accessors (throw JsonError on type mismatch) --------------------
   [[nodiscard]] bool as_bool() const;
   /// Strict number access: a JSON number only.  The non-finite string
-  /// sentinels are *not* accepted here, so spec/config readers cannot be
-  /// fed smuggled inf/NaN values that evade range validation.
+  /// sentinels `dump` writes are strings here, so spec/config readers
+  /// cannot be fed smuggled inf/NaN values that evade range validation.
   [[nodiscard]] double as_number() const;
-  /// Total number access: a JSON number, or one of the canonical
-  /// non-finite string sentinels "inf" / "-inf" / "nan" (which is how
-  /// `dump` writes non-finite doubles, JSON having no literal for them).
-  /// Used by the *result* re-import paths, whose only producer is the
-  /// canonical writer, so any number it emits reads back bit-identically.
-  [[nodiscard]] double as_number_total() const;
   [[nodiscard]] std::int64_t as_int() const;  ///< number, checked integral
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
@@ -188,9 +179,9 @@ class Json {
 
   /// Serialize; `indent` <= 0 yields compact single-line output.
   /// Non-finite numbers serialize as the string sentinels "inf" / "-inf"
-  /// / "nan" (RFC 8259 has no number syntax for them; the old behaviour
-  /// of emitting `null` silently broke the documented total round-trip).
-  /// `as_number()` reverses the encoding on read.
+  /// / "nan" (RFC 8259 has no number syntax for them), so the dump stays
+  /// valid JSON and re-parses to byte-identical text; the sentinels read
+  /// back as strings, which `as_number()` rejects.
   [[nodiscard]] std::string dump(int indent = 2) const;
 
   /// Serialize by *appending* to `out` -- same bytes as `dump`, no
@@ -298,9 +289,8 @@ struct JsonParseOptions {
 /// double (the JSON writer's number format).  Non-finite values render as
 /// the text sentinels "inf" / "-inf" / "nan" (quoted as strings in JSON
 /// output -- see `Json::dump` -- and bare in CSV).  Shared by every
-/// machine-readable emitter so a value exported anywhere re-imports
-/// bit-identically: `as_number()` decodes the sentinels back to the
-/// non-finite double.
+/// machine-readable emitter, so a value renders the same bytes wherever
+/// it is exported.
 [[nodiscard]] std::string format_number(double n);
 
 /// Parse a complete JSON document.  Throws JsonError with 1-based

@@ -2,11 +2,10 @@
 #define GREENFPGA_IO_JSON_DETAIL_HPP
 
 /// \file json_detail.hpp
-/// Shared internals of the JSON facade (json.cpp) and the arena DOM
-/// (json_arena.cpp).  Not part of the public io:: API.
+/// Internals of the JSON facade (json.cpp).  Not part of the public io::
+/// API.
 ///
-/// Three pieces live here so the two DOMs can never drift apart on the
-/// wire format:
+/// Three pieces live here:
 ///
 ///   * `format_number_to` -- the shortest-round-trip number formatter
 ///     (printf %g presentation reconstructed from std::to_chars shortest
@@ -17,13 +16,12 @@
 ///     emit into any Sink (append bytes / append + FNV-1a / FNV-1a only),
 ///     which is how `dump_to`, `dump_to_hashed` and the allocation-free
 ///     `canonical_digest` share one writer;
-///   * `ParserCore<Builder>` -- the recursive-descent RFC 8259 parser,
-///     templated on a builder policy so the same lexer/validator grows
-///     either the mutable `Json` facade or the immutable arena document,
-///     and computes the canonical-stream FNV-1a digest *while parsing*
-///     (valid whenever object keys arrive already sorted, which is true
-///     of every canonical artifact this repo emits).
+///   * `Parser` -- the recursive-descent RFC 8259 parser that grows the
+///     `Json` tree and computes the canonical-stream FNV-1a digest *while
+///     parsing* (valid whenever object keys arrive already sorted, which
+///     is true of every canonical artifact this repo emits).
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -32,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "io/hash.hpp"
 #include "io/json.hpp"
@@ -134,7 +133,7 @@ void write_escaped(Sink& sink, std::string_view s) {
 }
 
 /// A number in value position: bare when finite, a *quoted* sentinel when
-/// not (RFC 8259 has no inf/nan literal; `as_number_total` reverses it).
+/// not (RFC 8259 has no inf/nan literal).
 template <class Sink>
 void write_number_value(Sink& sink, double n) {
   char buffer[kNumberBufferSize];
@@ -148,50 +147,24 @@ void write_number_value(Sink& sink, double n) {
   sink.append(buffer, length);
 }
 
-// -- parser core ------------------------------------------------------------
+// -- parser -----------------------------------------------------------------
 
-/// How a member landed in its object, from the builder's point of view.
-enum class MemberOrder {
-  appended,  ///< key was greater than every existing key (sorted input)
-  inserted,  ///< key was out of order and had to be placed mid-vector
-  duplicate  ///< key already present: the parser rejects the document
-};
-
-/// The recursive-descent parser, templated on a builder policy.
-///
-/// Builder interface (see FacadeBuilder in json.cpp, ArenaBuilder in
-/// json_arena.cpp):
-///
-///   using Value = ...;            // movable node handle
-///   struct ArrayCtx; struct ObjectCtx;
-///   Value null_value();  Value boolean(bool);  Value number(double);
-///   Value string_value(std::string_view decoded);   // must copy
-///   ArrayCtx array_begin();
-///   void array_push(ArrayCtx&, Value);
-///   Value array_end(ArrayCtx&);
-///   ObjectCtx object_begin();
-///   MemberOrder member_key(ObjectCtx&, std::string_view key);  // must copy
-///   void member_value(ObjectCtx&, Value);  // fills the pending member
-///   Value object_end(ObjectCtx&);
-///
-/// `member_key` is called before the member's value is parsed (the key
-/// view dies at the next lexer step, so the builder copies it there) and
-/// reports ordering, which drives both sorted storage and the
-/// hash-while-parse validity bit.
-template <class Builder>
-class ParserCore {
+/// The recursive-descent parser.  Object members accumulate directly into
+/// the sorted flat storage of `JsonObject`: canonical input (keys already
+/// sorted) appends in O(1); an out-of-order key pays one mid-vector
+/// insert and switches hash-while-parse off.
+class Parser {
  public:
-  ParserCore(std::string_view text, JsonParseOptions options, Builder& builder,
-             bool hash_canonical)
-      : text_(text), options_(options), builder_(builder), hashing_(hash_canonical) {
+  Parser(std::string_view text, JsonParseOptions options, bool hash_canonical)
+      : text_(text), options_(options), hashing_(hash_canonical) {
     // Skip a UTF-8 byte-order mark if present.
     if (text_.substr(0, 3) == "\xEF\xBB\xBF") {
       pos_ = 3;
     }
   }
 
-  typename Builder::Value parse_document() {
-    typename Builder::Value value = parse_value();
+  Json parse_document() {
+    Json value = parse_value();
     skip_whitespace();
     if (pos_ != text_.size()) {
       fail("trailing characters after JSON document");
@@ -259,7 +232,7 @@ class ParserCore {
     }
   }
 
-  typename Builder::Value parse_value() {
+  Json parse_value() {
     skip_whitespace();
     switch (peek()) {
       case '{':
@@ -269,17 +242,17 @@ class ParserCore {
       case '"': {
         const std::string_view s = parse_string();
         if (hashing_) write_escaped(hash_, s);
-        return builder_.string_value(s);
+        return Json(std::string(s));
       }
       case 't':
         parse_keyword("true");
-        return builder_.boolean(true);
+        return Json(true);
       case 'f':
         parse_keyword("false");
-        return builder_.boolean(false);
+        return Json(false);
       case 'n':
         parse_keyword("null");
-        return builder_.null_value();
+        return Json(nullptr);
       default:
         return parse_number();
     }
@@ -299,7 +272,7 @@ class ParserCore {
   /// the offending bracket instead of a stack overflow.
   class DepthGuard {
    public:
-    explicit DepthGuard(ParserCore& parser) : parser_(parser) {
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
       if (++parser_.depth_ > parser_.options_.max_depth) {
         parser_.fail("nesting depth exceeds " + std::to_string(parser_.options_.max_depth));
       }
@@ -309,43 +282,52 @@ class ParserCore {
     DepthGuard& operator=(const DepthGuard&) = delete;
 
    private:
-    ParserCore& parser_;
+    Parser& parser_;
   };
 
-  typename Builder::Value parse_object() {
+  Json parse_object() {
     const DepthGuard guard(*this);
     expect('{');
     if (hashing_) hash_.push('{');
-    typename Builder::ObjectCtx ctx = builder_.object_begin();
+    JsonObject::Storage members;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
       if (hashing_) hash_.push('}');
-      return builder_.object_end(ctx);
+      return Json(JsonObject::adopt_sorted(std::move(members)));
     }
-    bool first = true;
     while (true) {
       skip_whitespace();
       if (peek() != '"') fail("expected string key in object");
+      // The key view dies at the next lexer step, so it is copied into
+      // its member slot before the value is parsed.
       const std::string_view key = parse_string();
-      const MemberOrder order = builder_.member_key(ctx, key);
-      if (order == MemberOrder::duplicate) {
-        fail("duplicate object key");
-      }
-      if (order == MemberOrder::inserted) {
+      std::size_t slot = members.size();
+      if (members.empty() || std::string_view(members.back().first) < key) {
+        members.emplace_back(std::string(key), Json());
+      } else {
+        const auto it = std::lower_bound(
+            members.begin(), members.end(), key,
+            [](const JsonObject::Member& m, std::string_view k) {
+              return std::string_view(m.first) < k;
+            });
+        if (it != members.end() && it->first == key) {
+          fail("duplicate object key");
+        }
         // Keys out of source order: the canonical (sorted) byte stream
         // can no longer be reproduced on the fly.
         hashing_ = false;
+        slot = static_cast<std::size_t>(it - members.begin());
+        members.emplace(it, std::string(key), Json());
       }
       if (hashing_) {
-        if (!first) hash_.push(',');
+        if (slot != 0) hash_.push(',');
         write_escaped(hash_, key);
         hash_.push(':');
       }
-      first = false;
       skip_whitespace();
       expect(':');
-      builder_.member_value(ctx, parse_value());
+      members[slot].second = parse_value();
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
@@ -353,26 +335,24 @@ class ParserCore {
       }
       expect('}');
       if (hashing_) hash_.push('}');
-      return builder_.object_end(ctx);
+      return Json(JsonObject::adopt_sorted(std::move(members)));
     }
   }
 
-  typename Builder::Value parse_array() {
+  Json parse_array() {
     const DepthGuard guard(*this);
     expect('[');
     if (hashing_) hash_.push('[');
-    typename Builder::ArrayCtx ctx = builder_.array_begin();
+    Json::Array elements;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
       if (hashing_) hash_.push(']');
-      return builder_.array_end(ctx);
+      return Json(std::move(elements));
     }
-    bool first = true;
     while (true) {
-      if (hashing_ && !first) hash_.push(',');
-      first = false;
-      builder_.array_push(ctx, parse_value());
+      if (hashing_ && !elements.empty()) hash_.push(',');
+      elements.push_back(parse_value());
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
@@ -380,13 +360,13 @@ class ParserCore {
       }
       expect(']');
       if (hashing_) hash_.push(']');
-      return builder_.array_end(ctx);
+      return Json(std::move(elements));
     }
   }
 
   /// Decoded string contents.  The view aliases the source text when the
   /// string has no escapes, the parser's scratch buffer otherwise; either
-  /// way it is only valid until the next lexer step, so builders copy.
+  /// way it is only valid until the next lexer step, so callers copy.
   std::string_view parse_string() {
     expect('"');
     const std::size_t start = pos_;
@@ -507,7 +487,7 @@ class ParserCore {
     return value;
   }
 
-  typename Builder::Value parse_number() {
+  Json parse_number() {
     const std::size_t start = pos_;
     const char* const data = text_.data();
     if (!at_end() && data[pos_] == '-') ++pos_;
@@ -549,12 +529,11 @@ class ParserCore {
       char buffer[kNumberBufferSize];
       hash_.append(buffer, format_number_to(buffer, value));
     }
-    return builder_.number(value);
+    return Json(value);
   }
 
   std::string_view text_;
   JsonParseOptions options_;
-  Builder& builder_;
   std::size_t pos_ = 0;
   int depth_ = 0;
   std::string scratch_;  ///< escape-decoding buffer, reused across strings

@@ -18,7 +18,6 @@
 #include "device/catalog.hpp"
 #include "io/hash.hpp"
 #include "io/json.hpp"
-#include "io/json_arena.hpp"
 #include "scenario/result_io.hpp"
 #include "scenario/spec.hpp"
 
@@ -54,26 +53,6 @@ Router::Handler wrap(ServeContext& context, Router::Handler handler) {
     }
     return response;
   };
-}
-
-/// Parse one spec out of request-body JSON: the exact dialect of
-/// `greenfpga run <spec.json>` (// comments allowed, so a spec file can
-/// be POSTed verbatim), with the parser's nesting cap, so a depth bomb
-/// is a 400, never a crash.  The body parses into a per-request arena
-/// (one monotonic buffer, freed wholesale) with hash-while-parse, so the
-/// request's canonical digest comes out of the same pass when its keys
-/// arrive sorted.
-scenario::ScenarioSpec spec_of_body(const std::string& body,
-                                    std::optional<std::uint64_t>* digest = nullptr) {
-  const io::JsonDocument doc =
-      io::parse_json_arena(body, io::JsonParseOptions{.allow_comments = true},
-                           /*hash_canonical=*/digest != nullptr);
-  if (digest != nullptr) {
-    *digest = doc.parse_digest();
-  }
-  scenario::ScenarioSpec spec = scenario::spec_from_json(doc.to_json());
-  spec.validate();
-  return spec;
 }
 
 /// The canonical `/v1/run` body of `result`: its pretty canonical JSON
@@ -132,8 +111,15 @@ HttpResponse body_response(std::string body) {
 }
 
 HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
-  std::optional<std::uint64_t> request_digest;
-  const scenario::ScenarioSpec spec = spec_of_body(request.body, &request_digest);
+  // The exact dialect of `greenfpga run <spec.json>` (// comments
+  // allowed, so a spec file can be POSTed verbatim), with the parser's
+  // nesting cap, so a depth bomb is a 400, never a crash.  The body
+  // parses once, straight into the `Json` tree, with hash-while-parse:
+  // the request's canonical digest comes out of the same pass when its
+  // keys arrive sorted.  `spec_from_json` validates the spec.
+  const io::ParsedJson parsed =
+      io::parse_json_hashed(request.body, io::JsonParseOptions{.allow_comments = true});
+  const scenario::ScenarioSpec spec = scenario::spec_from_json(parsed.value);
   const scenario::Engine& engine = context.engine();
   scenario::Engine::PreparedRun prepared = engine.prepare(spec);
   const scenario::Engine::ContentKey key = scenario::Engine::content_key(prepared);
@@ -151,8 +137,9 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
   // The fingerprint was folded while the key was dumped; same text as
   // content_digest(key.bytes), no re-hash of the key bytes.
   response.set_header("X-Cache-Key", io::content_digest_of_hash(key.fingerprint));
-  if (request_digest.has_value()) {
-    response.set_header("X-Request-Digest", io::content_digest_of_hash(*request_digest));
+  if (parsed.canonical_digest.has_value()) {
+    response.set_header("X-Request-Digest",
+                        io::content_digest_of_hash(*parsed.canonical_digest));
   }
   return response;
 }
@@ -160,8 +147,7 @@ HttpResponse handle_run(ServeContext& context, const HttpRequest& request) {
 HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   // Same dialect as /v1/run, so spec files embed verbatim.
   const Json parsed =
-      io::parse_json_arena(request.body, io::JsonParseOptions{.allow_comments = true})
-          .to_json();
+      io::parse_json(request.body, io::JsonParseOptions{.allow_comments = true});
   core::check_known_keys(parsed, "batch request", {"name", "specs"});
   std::vector<scenario::ScenarioSpec> specs;
   const Json::Array& entries = parsed.at("specs").as_array();
@@ -169,7 +155,6 @@ HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     try {
       specs.push_back(scenario::spec_from_json(entries[i]));
-      specs.back().validate();
     } catch (const std::exception& error) {
       throw core::ConfigError("specs[" + std::to_string(i) + "]: " + error.what());
     }

@@ -23,9 +23,9 @@
 ///     the byte cache), engine worker count.
 ///   * `GET /healthz`    -- liveness: `{"status":"ok"}`.
 ///
-/// Request bodies parse into the arena DOM (io/json_arena.hpp): one
-/// monotonic buffer per request, freed wholesale, with the canonical
-/// FNV-1a digest computed during the parse.  The one cache is a sharded
+/// Request bodies parse once, straight into the `io::Json` facade, with
+/// the canonical FNV-1a digest computed during the parse
+/// (`io::parse_json_hashed`).  The one cache is a sharded
 /// LRU of rendered canonical response bodies (`scenario::BodyCache`),
 /// keyed by the engine's content key; the engine itself caches nothing.
 /// A request prepares its spec once and keys it; a hit streams the

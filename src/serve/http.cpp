@@ -256,8 +256,7 @@ bool RequestFramer::next(std::string& buffer, HttpRequest& out) {
   return true;
 }
 
-SocketStream::SocketStream(int fd, HttpLimits limits)
-    : fd_(fd), limits_(limits), framer_(limits) {}
+SocketStream::SocketStream(int fd, HttpLimits limits) : fd_(fd), limits_(limits) {}
 
 SocketStream::~SocketStream() {
   if (fd_ >= 0) {
@@ -347,20 +346,6 @@ void SocketStream::read_body(std::size_t length, std::string& out) {
   buffer_.erase(0, length);
 }
 
-bool SocketStream::read_request(HttpRequest& out) {
-  for (;;) {
-    if (framer_.next(buffer_, out)) {
-      return true;
-    }
-    if (!fill()) {
-      if (!framer_.mid_request(buffer_)) {
-        return false;  // clean EOF between messages
-      }
-      throw HttpError(400, "connection closed mid-request");
-    }
-  }
-}
-
 bool SocketStream::read_response(HttpResponse& out) {
   std::string block;
   if (!read_header_block(block)) {
@@ -419,10 +404,6 @@ std::string serialize_response(const HttpResponse& response) {
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n\r\n";
   out += response.body;
   return out;
-}
-
-void SocketStream::write_response(const HttpResponse& response) {
-  send_all(serialize_response(response));
 }
 
 void SocketStream::write_request(const HttpRequest& request) {

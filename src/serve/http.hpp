@@ -14,9 +14,10 @@
 /// 4xx instead of exhausting the process, mirroring the JSON parser's
 /// nesting cap.
 ///
-/// `SocketStream` is the shared framing layer (buffered reads, EINTR
-/// retry, SIGPIPE-safe writes) used by the server's connection loop and
-/// by `HttpClient`, the keep-alive client used by tests.
+/// The server frames requests with `RequestFramer` inside its event loop
+/// (serve/event_loop.hpp).  `SocketStream` is the client side: buffered
+/// blocking reads, EINTR retry and SIGPIPE-safe writes under
+/// `HttpClient`, the keep-alive client used by tests and perfbench.
 
 #include <cstddef>
 #include <stdexcept>
@@ -59,7 +60,7 @@ struct HttpRequest {
 };
 
 /// One response to serialize.  `Content-Length` and the status reason are
-/// filled in by `SocketStream::write_response`.
+/// filled in by `serialize_response`.
 struct HttpResponse {
   int status = 200;
   std::vector<std::pair<std::string, std::string>> headers;
@@ -81,18 +82,16 @@ struct HttpLimits {
 };
 
 /// Serialize `response` to wire bytes (status line, headers,
-/// Content-Length, body).  The single definition used by the blocking
-/// stream and the event-loop server, so both paths emit identical bytes.
+/// Content-Length, body).  The event-loop server's only response writer.
 [[nodiscard]] std::string serialize_response(const HttpResponse& response);
 
 /// Incremental HTTP/1.1 request framing over a caller-owned receive
 /// buffer.  `next` consumes at most one complete request per call and
-/// never blocks, so it works for both the blocking `SocketStream` (which
-/// fills the buffer between calls) and the event-loop server (which
-/// appends whatever `recv` returned and retries).  Enforces the
-/// `HttpLimits` ingestion bounds; an over-limit declared body is drained
-/// (discarded, within a hard bound) before the 413 surfaces, so the
-/// rejection can actually be delivered instead of being eaten by an RST.
+/// never blocks: the event-loop server appends whatever `recv` returned
+/// and retries.  Enforces the `HttpLimits` ingestion bounds; an
+/// over-limit declared body is drained (discarded, within a hard bound)
+/// before the 413 surfaces, so the rejection can actually be delivered
+/// instead of being eaten by an RST.
 /// After a throw the framer is poisoned: the byte stream can no longer be
 /// trusted for framing and the connection must close after the error
 /// response.
@@ -121,9 +120,10 @@ class RequestFramer {
   std::string drain_error_;          ///< the 413 to throw once drained
 };
 
-/// Buffered, bounded HTTP framing over one connected socket.  Owns the
-/// file descriptor (closed on destruction).  Not thread-safe; one
-/// connection is driven by one thread.
+/// Buffered, bounded client-side HTTP framing over one connected socket:
+/// requests out, responses in.  Owns the file descriptor (closed on
+/// destruction).  Not thread-safe; one connection is driven by one
+/// thread.
 class SocketStream {
  public:
   explicit SocketStream(int fd, HttpLimits limits = {});
@@ -131,21 +131,12 @@ class SocketStream {
   SocketStream(const SocketStream&) = delete;
   SocketStream& operator=(const SocketStream&) = delete;
 
-  /// Read one request.  Returns false on clean end-of-stream before any
-  /// request byte (the peer closed an idle keep-alive connection); throws
-  /// HttpError on malformed or over-limit input, HttpError(408) when a
-  /// socket receive timeout (SO_RCVTIMEO) expires mid-request.
-  [[nodiscard]] bool read_request(HttpRequest& out);
-
-  /// Read one response (client side).  Returns false on clean EOF before
-  /// any byte.
+  /// Read one response.  Returns false on clean EOF before any byte;
+  /// throws HttpError on malformed or over-limit input.
   [[nodiscard]] bool read_response(HttpResponse& out);
 
-  /// Serialize and send `response` (fills Content-Length; SIGPIPE-safe).
+  /// Serialize and send `request` (fills Content-Length; SIGPIPE-safe).
   /// Throws HttpError(500) when the peer is gone mid-write.
-  void write_response(const HttpResponse& response);
-
-  /// Send a serialized request (client side).
   void write_request(const HttpRequest& request);
 
  private:
@@ -154,9 +145,8 @@ class SocketStream {
   /// SO_RCVTIMEO) and HttpError(400) on any other receive failure --
   /// a reset peer is not a clean end-of-stream.
   [[nodiscard]] bool fill();
-  /// Block until the buffer holds a blank-line-terminated header block;
-  /// returns it (consumed from the buffer), or nullopt on clean EOF at
-  /// offset 0.
+  /// Block until the buffer holds a blank-line-terminated header block
+  /// and move it into `out`; false on clean EOF at offset 0.
   [[nodiscard]] bool read_header_block(std::string& out);
   void read_body(std::size_t length, std::string& out);
   void send_all(std::string_view bytes);
@@ -164,7 +154,6 @@ class SocketStream {
   int fd_;
   HttpLimits limits_;
   std::string buffer_;  ///< bytes received but not yet consumed
-  RequestFramer framer_;  ///< server-side request framing over buffer_
 };
 
 /// A minimal keep-alive client for tests and the bench load driver.

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/hash.hpp"
 #include "io/json.hpp"
 #include "report/result_render.hpp"
 #include "scenario/engine.hpp"
@@ -213,8 +214,8 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   EXPECT_EQ(context_.fast_path_hits.load(), 0u);
   EXPECT_EQ(context_.cache().stats().size, 1u);
 
-  // Warm, same bytes: engine hit + rendered-body hit, response
-  // byte-identical to the cold render.
+  // Warm, same bytes: a rendered-body hit, response byte-identical to
+  // the cold render.
   const HttpResponse warm = http.request("POST", "/v1/run", compact);
   ASSERT_EQ(warm.status, 200);
   EXPECT_EQ(warm.header_or("x-cache"), "hit");
@@ -239,6 +240,14 @@ TEST_F(ServeTest, CacheHitStreamsRenderedBodyWithoutRedump) {
   EXPECT_EQ(warm.header_or("x-request-digest"), cold.header_or("x-request-digest"));
   // The digest streams canonical bytes, so formatting never changes it.
   EXPECT_EQ(variant.header_or("x-request-digest"), cold.header_or("x-request-digest"));
+  // A sorted compact body is its own canonical stream: the header is the
+  // digest of exactly the POSTed bytes.
+  EXPECT_EQ(cold.header_or("x-request-digest"), io::content_digest(compact));
+  // Unsorted keys leave hash-while-parse nothing to fold, so no header.
+  const HttpResponse unsorted =
+      http.request("POST", "/v1/run", R"({"kind": "compare", "domain": "dnn"})");
+  ASSERT_EQ(unsorted.status, 200) << unsorted.body;
+  EXPECT_EQ(unsorted.header_or("x-request-digest", "absent"), "absent");
 }
 
 TEST_F(ServeTest, BatchMatchesIndividualRunsAndDedups) {
@@ -339,6 +348,16 @@ TEST_F(ServeTest, BadSpecAnswers400NamingTheOffendingKey) {
   EXPECT_NE(io::parse_json(batch.body).at("error").as_string().find("specs[0]"),
             std::string::npos)
       << batch.body;
+  // So do entries that parse but fail validation (a compare has no axes).
+  ScenarioSpec invalid = spec_for(ScenarioKind::compare);
+  invalid.axes = {scenario::AxisSpec::linear(scenario::SweepVariable::app_count, 1, 3, 3)};
+  io::Json request = io::Json::object();
+  request["specs"] = io::Json::array({spec_to_json(invalid)});
+  const HttpResponse unvalidated = http.request("POST", "/v1/batch", request.dump());
+  EXPECT_EQ(unvalidated.status, 400);
+  const std::string message = io::parse_json(unvalidated.body).at("error").as_string();
+  EXPECT_EQ(message.rfind("specs[0]: ", 0), 0u) << message;
+  EXPECT_NE(message.find("axes"), std::string::npos) << message;
 }
 
 TEST_F(ServeTest, BreakevenBeyondOneFpgaLifeAnswers400NamingSpecFields) {
