@@ -6,8 +6,8 @@
 ///
 /// Every bench binary prints the rows/series of one paper table or figure
 /// (the reproduction), also emitting CSV under results/ for re-plotting.
-/// Timing the engine is not their job: `greenfpga bench` owns the
-/// baselined micro-benchmarks and perfbench/ the end-to-end workloads.
+/// Timing the engine is not their job: perfbench/ measures the end-to-end
+/// workloads and, with `--trace 1`, every layer of the request path.
 ///
 /// `GF_BENCH_MAIN(print_function)` wires the print into a main().
 

@@ -21,18 +21,12 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <optional>
-#include <regex>
 #include <span>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
-#include "bench/artifact.hpp"
-#include "bench/compare.hpp"
-#include "bench/harness.hpp"
 #include "core/comparator.hpp"
 #include "core/config_io.hpp"
 #include "core/paper_config.hpp"
@@ -96,19 +90,14 @@ struct Args {
   /// (flag, value) in command-line order; a switch's value is empty.
   std::vector<std::pair<const Flag*, std::string>> flags;
 
-  [[nodiscard]] std::vector<std::string> values(std::string_view flag) const {
-    std::vector<std::string> found;
-    for (const auto& [spec, value] : flags) {
-      if (spec->name == flag) {
-        found.push_back(value);
-      }
-    }
-    return found;
-  }
   /// The last value given for `flag` (a repeated flag overrides).
   [[nodiscard]] std::optional<std::string> last(std::string_view flag) const {
-    const std::vector<std::string> found = values(flag);
-    return found.empty() ? std::nullopt : std::optional(found.back());
+    for (auto each = flags.rbegin(); each != flags.rend(); ++each) {
+      if (each->first->name == flag) {
+        return each->second;
+      }
+    }
+    return std::nullopt;
   }
   [[nodiscard]] bool has(std::string_view flag) const { return last(flag).has_value(); }
 };
@@ -152,27 +141,21 @@ void expect_positionals(std::string_view command, const Args& args, std::size_t 
   }
 }
 
-/// A numeric flag that is not a spec field (`--threads`, `serve`,
-/// `bench --max-regression`), or `fallback` when absent.  The one strict
-/// read: the whole text must parse, without overflow, inside [lo, hi]
-/// (NaN never is); anything else is a usage error quoting `range`.
-template <typename T>
-T number_flag(std::string_view command, const Args& args, std::string_view flag, T fallback,
-              T lo, T hi, std::string_view range) {
+/// An integer flag that is not a spec field (`--threads`, `serve`), or
+/// `fallback` when absent.  The one strict read: the whole text must
+/// parse, without overflow, inside [lo, hi]; anything else is a usage
+/// error quoting `range`.
+long number_flag(std::string_view command, const Args& args, std::string_view flag,
+                 long fallback, long lo, long hi, std::string_view range) {
   const std::optional<std::string> text = args.last(flag);
   if (!text) {
     return fallback;
   }
   char* end = nullptr;
   errno = 0;
-  T value;
-  if constexpr (std::is_integral_v<T>) {
-    value = std::strtol(text->c_str(), &end, 10);
-  } else {
-    value = std::strtod(text->c_str(), &end);
-  }
+  const long value = std::strtol(text->c_str(), &end, 10);
   if (text->empty() || end != text->c_str() + text->size() || errno == ERANGE ||
-      !(value >= lo && value <= hi)) {
+      value < lo || value > hi) {
     throw CliError(std::string(command) + ": invalid " + std::string(flag) + " '" + *text +
                    "' (" + std::string(range) + ")");
   }
@@ -425,15 +408,6 @@ int print_usage(std::ostream& out, bool error = true) {
          "      result JSON per spec plus an aggregate index to the --output\n"
          "      directory (default batch_results); --validate re-reads every\n"
          "      emitted JSON and fails unless it re-dumps to the canonical bytes\n"
-         "  greenfpga bench [--filter RE] [--quick] [--list] [--out <path>]\n"
-         "                  [--compare <baseline>]... [--max-regression X]\n"
-         "      run the built-in micro-benchmark cases (engine grid, Monte-Carlo\n"
-         "      sampler, batch pool, JSON codec, body cache); --out writes one\n"
-         "      canonical BENCH_<group>.json per case group; --compare checks the\n"
-         "      medians against checked-in baselines (file or directory) and exits\n"
-         "      non-zero naming each case slower than --max-regression times its\n"
-         "      baseline (default 10); --quick lowers repetitions only, so medians\n"
-         "      stay comparable; --list prints the case registry\n"
          "  greenfpga frontier <dnn|imgproc|crypto> [--platforms a,b,...] [--axes x,y]\n"
          "                     [--objective total|embodied|operational] [--samples N]\n"
          "                     [--seed S] [--json <out.json>]\n"
@@ -532,205 +506,6 @@ int run_serve(const CommandContext& context, const Args& args, std::ostream& out
       << (cache_dir.empty() ? std::string() : ", cache dir " + cache_dir) << ")"
       << std::endl;
   server.wait();
-  return 0;
-}
-
-/// Loads the baseline artifacts named by one `--compare` operand: a
-/// single artifact file, or every `BENCH_*.json` directly inside a
-/// directory (sorted, so output order is stable).
-std::vector<bench::BenchArtifact> load_baselines(const std::string& target) {
-  namespace fs = std::filesystem;
-  std::vector<bench::BenchArtifact> baselines;
-  if (fs::is_directory(target)) {
-    std::vector<fs::path> files;
-    for (const fs::directory_entry& entry : fs::directory_iterator(target)) {
-      const std::string filename = entry.path().filename().string();
-      if (entry.is_regular_file() && filename.starts_with("BENCH_") &&
-          entry.path().extension() == ".json") {
-        files.push_back(entry.path());
-      }
-    }
-    std::sort(files.begin(), files.end());
-    for (const fs::path& file : files) {
-      baselines.push_back(bench::read_artifact_file(file.string()));
-    }
-  } else {
-    baselines.push_back(bench::read_artifact_file(target));
-  }
-  return baselines;
-}
-
-int run_bench(const CommandContext& context, const Args& args, std::ostream& out,
-              std::ostream& err) {
-  expect_positionals("bench", args, 0, "");
-  const std::optional<std::string> filter = args.last("--filter");
-  const bool quick = args.has("--quick");
-  const std::optional<std::string> out_path = args.last("--out");
-  const std::vector<std::string> compare_paths = args.values("--compare");
-  const double limit = number_flag("bench", args, "--max-regression", 10.0,
-                                   std::numeric_limits<double>::denorm_min(),
-                                   std::numeric_limits<double>::max(), "a factor > 0, e.g. 10");
-  if (args.has("--max-regression") && compare_paths.empty()) {
-    throw CliError("bench: --max-regression requires --compare");
-  }
-
-  std::optional<std::regex> filter_re;
-  if (filter) {
-    try {
-      filter_re.emplace(*filter);
-    } catch (const std::regex_error& error) {
-      throw CliError("bench: invalid --filter regex '" + *filter + "': " + error.what());
-    }
-  }
-  const auto matches = [&filter_re](const std::string& id) {
-    return !filter_re || std::regex_search(id, *filter_re);
-  };
-
-  std::vector<bench::BenchCase> cases;
-  for (bench::BenchCase& bench_case : bench::builtin_cases()) {
-    if (matches(bench_case.id())) {
-      cases.push_back(std::move(bench_case));
-    }
-  }
-  if (args.has("--list")) {
-    for (const bench::BenchCase& bench_case : cases) {
-      out << bench_case.id() << "\n    " << bench_case.description << "\n";
-    }
-    return 0;
-  }
-  if (cases.empty()) {
-    throw CliError("bench: no cases match --filter '" + filter.value_or("") + "'");
-  }
-
-  const bench::BenchOptions options =
-      quick ? bench::BenchOptions::quick() : bench::BenchOptions{};
-  const bench::Environment environment = bench::capture_environment();
-  std::vector<bench::CaseResult> results;
-  results.reserve(cases.size());
-  for (const bench::BenchCase& bench_case : cases) {
-    results.push_back(bench::run_case(bench_case, options));
-  }
-
-  // The measurement table, through the frame IR so --format/--output
-  // dispatch like every other command.
-  report::ResultFrame frame;
-  frame.name = "bench";
-  frame.columns = {report::Column{.name = "case", .unit = ""},
-                   report::Column{.name = "reps", .unit = "", .precision = 3},
-                   report::Column{.name = "iters", .unit = "", .precision = 6},
-                   report::Column{.name = "median", .unit = "s", .precision = 4},
-                   report::Column{.name = "p10", .unit = "s", .precision = 4},
-                   report::Column{.name = "p90", .unit = "s", .precision = 4},
-                   report::Column{.name = "mad", .unit = "s", .precision = 3},
-                   report::Column{.name = "ops/s", .unit = "", .precision = 4},
-                   report::Column{.name = "MB/s", .unit = "", .precision = 4}};
-  for (const bench::CaseResult& result : results) {
-    frame.add_row({report::Cell(result.id()),
-                   report::Cell(static_cast<double>(result.repetitions)),
-                   report::Cell(static_cast<double>(result.iterations)),
-                   report::Cell(result.seconds.median), report::Cell(result.seconds.p10),
-                   report::Cell(result.seconds.p90), report::Cell(result.seconds.mad),
-                   report::Cell(result.ops_per_s),
-                   result.bytes_per_s > 0.0
-                       ? report::Cell(result.bytes_per_s / 1e6)
-                       : report::Cell(nullptr)});
-  }
-  frame.set_meta("mode", quick ? "quick" : "full");
-  frame.set_meta("compiler", environment.compiler);
-  frame.set_meta("build_type", environment.build_type);
-  frame.set_meta("cores", std::to_string(environment.cores));
-  const std::vector<report::ResultFrame> frames{std::move(frame)};
-  emit(
-      context,
-      [&](std::ostream& stream) { report::render_frames(frames, context.format, stream); },
-      out);
-
-  const std::vector<bench::BenchArtifact> artifacts =
-      bench::artifacts_from_results(results, environment);
-  if (out_path) {
-    namespace fs = std::filesystem;
-    if (out_path->ends_with(".json")) {
-      if (artifacts.size() != 1) {
-        throw CliError("bench: --out '" + *out_path + "' names a single file but " +
-                       std::to_string(artifacts.size()) +
-                       " case groups ran; pass a directory or narrow --filter");
-      }
-      bench::write_artifact_file(*out_path, artifacts.front());
-      out << "wrote " << *out_path << "\n";
-    } else {
-      for (const bench::BenchArtifact& artifact : artifacts) {
-        const std::string path =
-            (fs::path(*out_path) / bench::artifact_filename(artifact.group)).string();
-        bench::write_artifact_file(path, artifact);
-        out << "wrote " << path << "\n";
-      }
-    }
-  }
-
-  if (compare_paths.empty()) {
-    return 0;
-  }
-
-  // Baseline comparison.  --filter applies to baseline cases exactly as
-  // to the run, so a filtered run never reports deliberately-skipped
-  // cases as missing.  Any other baseline case absent from the run -- a
-  // whole group included -- is a failure.
-  std::vector<bench::BenchArtifact> baselines;
-  for (const std::string& target : compare_paths) {
-    std::vector<bench::BenchArtifact> loaded = load_baselines(target);
-    if (loaded.empty()) {
-      throw CliError("bench: no BENCH_*.json baselines found in '" + target + "'");
-    }
-    baselines.insert(baselines.end(), std::make_move_iterator(loaded.begin()),
-                     std::make_move_iterator(loaded.end()));
-  }
-  std::vector<bench::BenchArtifact> compared;
-  for (bench::BenchArtifact& baseline : baselines) {
-    std::erase_if(baseline.cases, [&matches](const bench::CaseResult& result) {
-      return !matches(result.id());
-    });
-    if (!baseline.cases.empty()) {
-      compared.push_back(std::move(baseline));
-    }
-  }
-  const std::vector<bench::CaseComparison> rows =
-      bench::compare_results(results, compared, limit);
-  for (const bench::CaseComparison& row : rows) {
-    out << "compare: " << to_string(row.verdict) << "  " << row.id;
-    if (row.verdict == bench::CaseVerdict::ok ||
-        row.verdict == bench::CaseVerdict::regressed) {
-      out << "  " << units::format_significant(row.factor, 3) << "x of baseline ("
-          << io::format_number(row.current_median) << " s vs "
-          << io::format_number(row.baseline_median) << " s, limit "
-          << units::format_significant(limit, 3) << "x)";
-    } else if (row.verdict == bench::CaseVerdict::missing) {
-      out << "  in baseline but not executed";
-    } else {
-      out << "  no baseline yet";
-    }
-    out << "\n";
-  }
-  bool failed = false;
-  for (const bench::CaseComparison& row : rows) {
-    if (row.verdict == bench::CaseVerdict::regressed) {
-      failed = true;
-      err << "bench: case '" << row.id << "' regressed: median "
-          << io::format_number(row.current_median) << " s vs baseline "
-          << io::format_number(row.baseline_median) << " s ("
-          << units::format_significant(row.factor, 3) << "x > limit "
-          << units::format_significant(limit, 3) << "x)\n";
-    } else if (row.verdict == bench::CaseVerdict::missing) {
-      failed = true;
-      err << "bench: case '" << row.id
-          << "' is in the baseline but was not executed (renamed or removed? "
-             "regenerate the baseline deliberately)\n";
-    }
-  }
-  if (failed) {
-    return 1;
-  }
-  out << "compare: all " << rows.size() << " case(s) within "
-      << units::format_significant(limit, 3) << "x of baseline\n";
   return 0;
 }
 
@@ -938,12 +713,21 @@ int run_batch(const CommandContext& context, const Args& args, std::ostream& out
   namespace fs = std::filesystem;
   const fs::path target(args.positional[0]);
 
-  // Collect and parse the spec files (parse errors name the offending
-  // file): every *.json in a directory -- each read once; manifests,
-  // i.e. objects with a "specs" key, are skipped -- or the manifest's
-  // listed paths, resolved relative to the manifest.
+  // Collect, parse and prepare the spec files (parse and resolve errors
+  // name the offending file): every *.json in a directory -- each read
+  // once; manifests, i.e. objects with a "specs" key, are skipped -- or
+  // the manifest's listed paths, resolved relative to the manifest.
+  const scenario::Engine engine = make_engine(context);
   std::vector<fs::path> spec_paths;
-  std::vector<scenario::ScenarioSpec> specs;
+  std::vector<scenario::Engine::PreparedRun> prepared;
+  const auto add = [&](const fs::path& path, const scenario::ScenarioSpec& spec) {
+    try {
+      prepared.push_back(engine.prepare(spec));
+    } catch (const std::exception& error) {
+      throw core::ConfigError("spec file '" + path.string() + "': " + error.what());
+    }
+    spec_paths.push_back(path);
+  };
   if (fs::is_directory(target)) {
     std::vector<fs::path> candidates;
     for (const fs::directory_entry& entry : fs::directory_iterator(target)) {
@@ -957,8 +741,7 @@ int run_batch(const CommandContext& context, const Args& args, std::ostream& out
       if (parsed.is_object() && parsed.contains("specs")) {
         continue;  // a manifest living next to its specs
       }
-      specs.push_back(scenario::load_spec_json(parsed, path.string()));
-      spec_paths.push_back(path);
+      add(path, scenario::load_spec_json(parsed, path.string()));
     }
   } else {
     const io::Json manifest = io::parse_json_file(target.string());
@@ -966,17 +749,15 @@ int run_batch(const CommandContext& context, const Args& args, std::ostream& out
                            {"name", "specs"});
     for (const io::Json& entry : manifest.at("specs").as_array()) {
       const fs::path listed(entry.as_string());
-      spec_paths.push_back(listed.is_absolute() ? listed
-                                                : target.parent_path() / listed);
-      specs.push_back(scenario::load_spec(spec_paths.back().string()));
+      const fs::path path = listed.is_absolute() ? listed : target.parent_path() / listed;
+      add(path, scenario::load_spec(path.string()));
     }
   }
   if (spec_paths.empty()) {
     throw CliError("batch: no scenario specs found in '" + args.positional[0] + "'");
   }
 
-  const std::vector<scenario::ScenarioResult> results =
-      make_engine(context).run_batch(specs);
+  const std::vector<scenario::ScenarioResult> results = engine.run_batch(std::move(prepared));
 
   // Per-spec result JSON under the output directory, named after the spec
   // file (collisions get a numeric suffix so nothing is overwritten;
@@ -1114,21 +895,12 @@ constexpr Flag kServeFlags[] = {
     {"--cache-dir"}, {"--max-connections"}, {"--io-timeout-ms"},  {"--idle-timeout-ms"},
 };
 constexpr Flag kBatchFlags[] = {{.name = "--validate", .takes_value = false}};
-constexpr Flag kBenchFlags[] = {
-    {"--filter"},
-    {.name = "--quick", .takes_value = false},
-    {.name = "--list", .takes_value = false},
-    {"--out"},
-    {"--compare"},
-    {"--max-regression"},
-};
 constexpr Flag kCompareFlags[] = {{"--json"}, {"--markdown"}};
 
 const Command kCommands[] = {
     {.name = "run", .flags = kRunFlags, .run = run_spec},
     {.name = "serve", .flags = kServeFlags, .run = run_serve},
     {.name = "batch", .flags = kBatchFlags, .run = run_batch},
-    {.name = "bench", .flags = kBenchFlags, .run = run_bench},
     {.name = "frontier",
      .flags = kFrontierFlags,
      .kind = "frontier",
@@ -1200,7 +972,7 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out, std::ostre
     // Same strict rules as the GREENFPGA_THREADS environment path; the
     // engine clamps to its kMaxThreads pool bound (0 = that default).
     context.threads = static_cast<int>(
-        std::min<long>(number_flag("greenfpga", global, "--threads", 0L, 1L, LONG_MAX,
+        std::min<long>(number_flag("greenfpga", global, "--threads", 0, 1, LONG_MAX,
                                    "a worker count >= 1"),
                        scenario::Engine::kMaxThreads));
     if (const std::optional<std::string> text = global.last("--format")) {

@@ -415,13 +415,13 @@ void Json::dump_to(std::string& out, int indent) const {
 std::uint64_t Json::dump_to_hashed(std::string& out, int indent) const {
   detail::HashedStringSink sink{out};
   dump_value(*this, sink, indent, 0);
-  return sink.hash;
+  return sink.hasher.digest();
 }
 
 std::uint64_t Json::canonical_digest() const {
   detail::HashSink sink;
   dump_value(*this, sink, /*indent=*/0, 0);
-  return sink.hash;
+  return sink.hasher.digest();
 }
 
 }  // namespace greenfpga::io

@@ -37,9 +37,6 @@
 
 namespace greenfpga::io::detail {
 
-inline constexpr std::uint64_t kFnvOffset = kFnv1aOffset;
-inline constexpr std::uint64_t kFnvPrime = kFnv1aPrime;
-
 /// Upper bound on the bytes `format_number_to` writes (sign + 17 digits +
 /// point + "e-308" leaves ample slack).
 inline constexpr std::size_t kNumberBufferSize = 40;
@@ -61,13 +58,9 @@ struct StringSink {
 
 /// Folds bytes into a streaming FNV-1a digest; nothing is materialized.
 struct HashSink {
-  std::uint64_t hash = kFnvOffset;
-  void append(const char* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) push(data[i]);
-  }
-  void push(char c) {
-    hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
+  Fnv1aHasher hasher{};
+  void append(const char* data, std::size_t n) { hasher.update(std::string_view(data, n)); }
+  void push(char c) { hasher.update(c); }
   void pad(std::size_t n, char c) {
     while (n-- > 0) push(c);
   }
@@ -76,16 +69,14 @@ struct HashSink {
 /// Appends and digests in one pass (hash-while-dump: `dump_to_hashed`).
 struct HashedStringSink {
   std::string& out;
-  std::uint64_t hash = kFnvOffset;
+  Fnv1aHasher hasher{};
   void append(const char* data, std::size_t n) {
     out.append(data, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash = (hash ^ static_cast<unsigned char>(data[i])) * kFnvPrime;
-    }
+    hasher.update(std::string_view(data, n));
   }
   void push(char c) {
     out.push_back(c);
-    hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
+    hasher.update(c);
   }
   void pad(std::size_t n, char c) {
     while (n-- > 0) push(c);
@@ -176,7 +167,7 @@ class Parser {
   /// (`Json::dump(0)` bytes), when it could be computed during the parse:
   /// hashing was requested and every object's keys arrived sorted.
   [[nodiscard]] std::optional<std::uint64_t> canonical_digest() const {
-    if (hashing_) return hash_.hash;
+    if (hashing_) return hash_.hasher.digest();
     return std::nullopt;
   }
 

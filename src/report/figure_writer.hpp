@@ -2,9 +2,9 @@
 #define GREENFPGA_REPORT_FIGURE_WRITER_HPP
 
 /// \file figure_writer.hpp
-/// Shared figure-output helpers used by the bench harness: numeric tables
-/// for sweep series and breakdowns, plus CSV emission so results can be
-/// re-plotted outside the repo.
+/// Shared figure-output helpers used by the paper drivers (bench/):
+/// numeric tables for sweep series and breakdowns, plus CSV emission so
+/// results can be re-plotted outside the repo.
 
 #include <string>
 

@@ -166,8 +166,12 @@ HttpResponse handle_batch(ServeContext& context, const HttpRequest& request) {
   std::vector<std::string> keys;
   prepared.reserve(specs.size());
   keys.reserve(specs.size());
-  for (const scenario::ScenarioSpec& spec : specs) {
-    prepared.push_back(engine.prepare(spec));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      prepared.push_back(engine.prepare(specs[i]));
+    } catch (const std::exception& error) {
+      throw core::ConfigError("specs[" + std::to_string(i) + "]: " + error.what());
+    }
     keys.push_back(scenario::Engine::content_key(prepared.back()).bytes);
   }
   // One lookup per distinct key; the misses run as one engine batch and

@@ -5,10 +5,10 @@
 /// A small, dependency-free HTTP/1.1 message layer over blocking sockets.
 ///
 /// `greenfpga serve` speaks plain HTTP/1.1 so any client (curl, a
-/// dashboard, the bench load driver) can talk to it without a client
-/// library.  The subset implemented here is deliberately narrow and
-/// strict -- request line + headers + Content-Length body, keep-alive,
-/// no chunked transfer coding, no TLS -- because the daemon fronts a
+/// dashboard, perfbench) can talk to it without a client library.  The
+/// subset implemented here is deliberately narrow and strict -- request
+/// line + headers + Content-Length body, keep-alive, no chunked transfer
+/// coding, no TLS -- because the daemon fronts a
 /// deterministic evaluation engine, not the open internet.  Ingestion is
 /// bounded (header and body byte caps) so untrusted input fails with a
 /// 4xx instead of exhausting the process, mirroring the JSON parser's
@@ -156,7 +156,7 @@ class SocketStream {
   std::string buffer_;  ///< bytes received but not yet consumed
 };
 
-/// A minimal keep-alive client for tests and the bench load driver.
+/// A minimal keep-alive client for tests and perfbench.
 /// Connects on construction; one in-flight request at a time.
 class HttpClient {
  public:

@@ -619,6 +619,27 @@ TEST(Cli, BatchValidatesArguments) {
       << empty.err;
 }
 
+TEST(Cli, BatchNamesTheSpecFileThatFailsToResolve) {
+  const std::string dir = ::testing::TempDir() + "/greenfpga_cli_batch_unresolved";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  io::write_json_file(dir + "/a_good.json",
+                      scenario::spec_to_json(scenario::ScenarioSpec::make(
+                          scenario::ScenarioKind::compare, device::Domain::dnn)));
+  auto unknown = scenario::ScenarioSpec::make(scenario::ScenarioKind::compare,
+                                              device::Domain::dnn);
+  unknown.platforms = {scenario::PlatformRef{.name = "asic"},
+                       scenario::PlatformRef{.name = "tpu"}};
+  io::write_json_file(dir + "/b_tpu.json", scenario::spec_to_json(unknown));
+  const CliRun result = run_cli(
+      {"--output", ::testing::TempDir() + "/greenfpga_cli_batch_unresolved_out", "batch", dir});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("spec file '" + dir + "/b_tpu.json': PlatformRegistry: unknown "
+                            "platform 'tpu'"),
+            std::string::npos)
+      << result.err;
+}
+
 TEST(Cli, FiguresPrintsPaperVsMeasured) {
   const CliRun result = run_cli({"figures"});
   EXPECT_EQ(result.exit_code, 0);

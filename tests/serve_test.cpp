@@ -358,6 +358,17 @@ TEST_F(ServeTest, BadSpecAnswers400NamingTheOffendingKey) {
   const std::string message = io::parse_json(unvalidated.body).at("error").as_string();
   EXPECT_EQ(message.rfind("specs[0]: ", 0), 0u) << message;
   EXPECT_NE(message.find("axes"), std::string::npos) << message;
+  // And entries that validate but fail to resolve a platform.
+  request["specs"] = io::Json::array({spec_to_json(spec_for(ScenarioKind::compare)),
+                                      io::parse_json(R"({"kind": "compare",
+                                                         "platforms": ["asic", "tpu"]})")});
+  const HttpResponse unresolved = http.request("POST", "/v1/batch", request.dump());
+  EXPECT_EQ(unresolved.status, 400);
+  const std::string resolve_message =
+      io::parse_json(unresolved.body).at("error").as_string();
+  EXPECT_EQ(resolve_message.rfind("specs[1]: ", 0), 0u) << resolve_message;
+  EXPECT_NE(resolve_message.find("unknown platform 'tpu'"), std::string::npos)
+      << resolve_message;
 }
 
 TEST_F(ServeTest, BreakevenBeyondOneFpgaLifeAnswers400NamingSpecFields) {
